@@ -16,24 +16,24 @@ struct GraphParameters {
   bool connected = true;
 };
 
-// Exact computation by n BFS + n lexicographic Dijkstras. Intended for the
-// instance sizes of tests/benches (n up to a few thousand).
+// Exact computation in one all-pairs sweep: from every source, a BFS over a
+// flat (neighbor, weight) CSR gives D, and a Dijkstra on a radix heap keyed
+// by distance gives WD and s. Weights are >= 1, so a node's min-hop count
+// among least-weight paths is final when it is popped and hop ties need no
+// heap key. O(n * m * log C) time for largest distance C (a heap entry
+// moves down at most log C buckets), O(n + m) memory reused across
+// sources. D, WD and s range over reachable pairs; `connected` reports
+// whether that is every pair.
 GraphParameters ComputeParameters(const Graph& g);
 
 // Memoized ComputeParameters for a finalized graph: computed on first call,
 // then shared by every subsequent run on the same (immutable) topology —
-// repeated protocol runs stop paying the all-pairs recomputation. Not
-// thread-safe on the first call; protocol setup is single-threaded.
+// repeated protocol runs stop paying the all-pairs recomputation. Safe to
+// call from several threads: concurrent BatchEngine executors may race on a
+// cold graph. The install is serialized under a mutex, the computation runs
+// outside it (a same-graph race computes twice and keeps the first result),
+// and the returned reference stays valid for the graph's lifetime.
 const GraphParameters& CachedParameters(const Graph& g);
-
-// D only (n BFS traversals).
-int UnweightedDiameter(const Graph& g);
-
-// s only (n Dijkstras with (dist, hops) keys).
-int ShortestPathDiameter(const Graph& g);
-
-// WD only.
-Weight WeightedDiameter(const Graph& g);
 
 // True if g is connected.
 bool IsConnected(const Graph& g);
