@@ -120,7 +120,7 @@ void BM_PortfolioMixedSweep(benchmark::State& state) {
     std::vector<double> first_walls;
     first_walls.reserve(units.size());
     SolveOptions race;
-    race.net.threads = threads;
+    race.threads = threads;
     for (const Unit& unit : units) {
       SolveResult res;
       first_walls.push_back(

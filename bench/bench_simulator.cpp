@@ -1,7 +1,7 @@
 // Simulator-throughput benchmark (the tentpole metric of the hot-loop
 // rearchitecture): rounds/sec and messages/sec of Network::Step() itself,
-// across sparse and dense topologies and all scheduler configurations
-// (sequential legacy shape, active-set, thread pool). Two workload classes:
+// across sparse and dense topologies and both scheduler configurations
+// (tick-everyone reference, active-set). Two workload classes:
 //
 //   * Flood — every node sends on every edge every round: zero idle nodes,
 //     so this isolates the per-message path (mirror delivery, dirty-list
@@ -28,28 +28,13 @@
 namespace dsf {
 namespace {
 
-// Scheduler configurations, indexed by benchmark argument.
+// Scheduler configurations, indexed by benchmark argument: 0 ticks every
+// node every round, 1 honors WantsTick().
 NetworkOptions ConfigAt(int idx) {
-  switch (idx) {
-    case 0:
-      return NetworkOptions{/*active_set=*/false, /*threads=*/1};  // sequential
-    case 1:
-      return NetworkOptions{/*active_set=*/true, /*threads=*/1};  // active-set
-    default:
-      return NetworkOptions{/*active_set=*/true, /*threads=*/0};  // + pool
-  }
+  return NetworkOptions{/*active_set=*/idx != 0};
 }
 
-const char* ConfigName(int idx) {
-  switch (idx) {
-    case 0:
-      return "seq";
-    case 1:
-      return "active";
-    default:
-      return "pool";
-  }
-}
+const char* ConfigName(int idx) { return idx == 0 ? "seq" : "active"; }
 
 // Every node sends a 3-field message on every incident edge every round for
 // a fixed horizon; no node is ever idle.
@@ -133,7 +118,7 @@ void BM_FloodSparse(benchmark::State& state) {
   const Graph g = MakeConnectedRandom(512, 6.0 / 512, 1, 32, rng);
   RunFlood(state, g, /*horizon=*/200);
 }
-BENCHMARK(BM_FloodSparse)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloodSparse)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The headline configuration of the arena rearchitecture (ISSUE 6): a
 // n = 4096 sparse flood whose per-round traffic (~2 * m messages) is far
@@ -148,7 +133,6 @@ void BM_FloodSparse4096(benchmark::State& state) {
 BENCHMARK(BM_FloodSparse4096)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FloodDense(benchmark::State& state) {
@@ -156,7 +140,7 @@ void BM_FloodDense(benchmark::State& state) {
   const Graph g = MakeConnectedRandom(192, 0.4, 1, 32, rng);
   RunFlood(state, g, /*horizon=*/200);
 }
-BENCHMARK(BM_FloodDense)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloodDense)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The largest bench_rounds_vs_n configuration (E5's n = 256 sparse row):
 // end-to-end protocol wall clock. Static knowledge is warmed outside the
@@ -184,7 +168,6 @@ void BM_DetMoatLargestN(benchmark::State& state) {
 BENCHMARK(BM_DetMoatLargestN)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RandLargestN(benchmark::State& state) {
@@ -210,7 +193,6 @@ void BM_RandLargestN(benchmark::State& state) {
 BENCHMARK(BM_RandLargestN)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

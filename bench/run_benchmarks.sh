@@ -62,14 +62,17 @@ run_bench() {
   fi
   # The context's "library_build_type" reports how *Google Benchmark* was
   # compiled (the distro package ships a debug build), so stamp the dsf
-  # build type — guaranteed Release by the gate above — explicitly.
+  # build type — guaranteed Release by the gate above — explicitly, plus
+  # the cores this process may run on (what `nproc` prints).
   if command -v python3 >/dev/null 2>&1; then
     python3 - "$out_json" <<'PYEOF'
-import json, sys
+import json, os, sys
 path = sys.argv[1]
 with open(path) as f:
     doc = json.load(f)
-doc.setdefault("context", {})["dsf_build_type"] = "Release"
+context = doc.setdefault("context", {})
+context["dsf_build_type"] = "Release"
+context["nproc"] = len(os.sched_getaffinity(0))
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

@@ -10,11 +10,12 @@
 //
 // The per-round path is engineered to be memory-bandwidth-bound without
 // changing a single delivered bit (see DESIGN.md §2 "Simulator scheduling"):
-//   * all outgoing traffic of a round lands in per-executor SoA send arenas
-//     (20-byte header: sender/receiver/incidence-slot/channel/bits; fields
-//     densely packed in a separate int64 pool), so header passes never touch
-//     payload bytes and a k-field send writes exactly 20 + 8k bytes,
-//   * receiver offsets are computed by a counting-sort-style prefix sum and
+//   * all outgoing traffic of a round lands in one SoA send arena (20-byte
+//     header: sender/receiver/incidence-slot/channel/bits; fields densely
+//     packed in a separate int64 pool), so header passes never touch payload
+//     bytes and a k-field send writes exactly 20 + 8k bytes,
+//   * ticks run in node order, so Send() itself runs the counting pass;
+//     receiver offsets are a prefix sum over the receivers that got mail and
 //     every node's inbox becomes a zero-copy span into one contiguous
 //     per-round delivery arena — there are no per-node inbox vectors,
 //   * per-message topology lookups key off the sender's global incidence
@@ -22,25 +23,13 @@
 //     the Edge array is never read during delivery,
 //   * the active set is a word-scanned uint64 bitset: nodes with a pending
 //     delivery OR'd with cached NodeProgram::WantsTick() bits (refreshed
-//     only when a node is ticked — program state only changes in OnRound),
-//   * phase (i) runs across a reusable thread pool in 64-node word chunks;
-//     large rounds scatter payloads in parallel, partitioned by contiguous
-//     receiver ranges of the delivery arena, so workers write disjoint
-//     cache lines with no per-node locks. Output-side effects (MarkEdge/
-//     UnmarkEdge, NotePhases) are deferred into per-node queues and applied
-//     serially in node order, so runs stay bit-identical to the sequential
-//     schedule (§8 reproducibility).
+//     only when a node is ticked — program state only changes in OnRound).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -64,16 +53,14 @@ struct StaticKnowledge {
   std::int64_t bandwidth_bits = 0;  // per edge per round, O(log n)
 };
 
-// Scheduler configuration. Every setting produces bit-identical runs (same
-// RunStats, same marked edges, same RNG streams); they differ only in wall
-// clock. The golden-stats regression test pins this contract.
+// Scheduler configuration. Both settings of active_set produce bit-identical
+// runs (same RunStats, same marked edges, same RNG streams); they differ only
+// in wall clock. The golden-stats regression test pins this contract.
 struct NetworkOptions {
   // Honor NodeProgram::WantsTick(): a program reporting false is not ticked
-  // in rounds where its inbox is empty.
+  // in rounds where its inbox is empty. false ticks every node every round —
+  // the reference schedule the golden tests compare against.
   bool active_set = true;
-  // Worker threads for phase (i). 0 = auto (hardware concurrency, capped);
-  // 1 = sequential fallback (no pool). Values <= 1 run inline.
-  int threads = 0;
   // Cooperative cancellation: Run() polls this between rounds and returns
   // early (stats.cancelled set) once it expires. Borrowed; may be nullptr.
   const CancelToken* cancel = nullptr;
@@ -85,7 +72,7 @@ struct NetworkOptions {
 // are branch-checked array reads.
 class NodeApi {
  public:
-  NodeApi(Network& net, NodeId id, int executor = 0);
+  NodeApi(Network& net, NodeId id);
 
   [[nodiscard]] NodeId Id() const noexcept { return id_; }
   [[nodiscard]] int Degree() const noexcept {
@@ -113,8 +100,9 @@ class NodeApi {
   void Send(int local, Message msg);
 
   // Declares the incident edge part of the algorithm's output F. Idempotent.
-  // Applied in node order after phase (i) completes, so the effect is
-  // identical under every scheduler configuration.
+  // Takes effect immediately; ticks run in node order, so when both
+  // endpoints of an edge mark/unmark it in one round, the higher id's last
+  // call wins under every scheduler configuration.
   void MarkEdge(int local);
   void UnmarkEdge(int local);
 
@@ -131,7 +119,6 @@ class NodeApi {
   friend class Network;
   Network& net_;
   NodeId id_;
-  int executor_;                   // which send arena this tick appends to
   std::uint32_t slot_base_;        // graph_.IncidenceBase(id_)
   std::span<const Incidence> nb_;  // cached Neighbors(id_)
 };
@@ -172,55 +159,13 @@ struct RunStats {
 
 namespace detail {
 
-// Minimal reusable thread pool for phase (i): executors pull contiguous
-// index chunks off a shared cursor. Each task invocation also receives the
-// executor index (0 = the calling thread) so callers can maintain
-// per-executor state — e.g. the simulator's send arenas — without locks.
-// Determinism does not depend on the chunking — all cross-node effects are
-// deferred and applied in node order.
-class RoundPool {
- public:
-  // Below this node count an auto-configured Network (threads == 0) skips
-  // the pool entirely: the per-round wakeup cost cannot be amortized.
-  static constexpr int kAutoMinNodes = 256;
-
-  explicit RoundPool(int threads);
-  ~RoundPool();
-
-  [[nodiscard]] int Executors() const noexcept { return executors_; }
-
-  // Runs task(v, executor) for v in [0, n); blocks until every index
-  // completed. Rethrows the first exception thrown by any task.
-  void ParallelFor(int n, const std::function<void(int, int)>& task);
-
- private:
-  void WorkerLoop(int executor);
-  void RunChunks(int executor);
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int, int)>* task_ = nullptr;
-  int executors_ = 1;  // workers + the calling thread
-  int total_ = 0;
-  int chunk_ = 1;    // per-claim range size for the current ParallelFor
-  int next_ = 0;     // next unclaimed index (under mu_)
-  int pending_ = 0;  // indices not yet completed (under mu_)
-  std::uint64_t epoch_ = 0;
-  bool stop_ = false;
-  std::exception_ptr first_error_;
-};
-
-// One executor's share of a round's outgoing traffic, structure-of-arrays:
-// the 20-byte headers carry everything the accounting and prefix-sum passes
-// need (receiver, global incidence slot, channel, encoded bits, app-activity
-// flag, field count); message fields ride in a densely packed int64 pool —
-// there is no Message staging at all, so the send path writes 20 + 8*k bytes
-// for a k-field message and the scatter reads exactly those back. Because
-// senders are consumed in node order and an executor's runs are appended in
-// ascending order, each arena's field pool is drained front-to-back by a
-// plain cursor.
+// A round's outgoing traffic, structure-of-arrays: the 20-byte headers carry
+// everything the accounting and prefix-sum passes need (receiver, global
+// incidence slot, channel, encoded bits, app-activity flag, field count);
+// message fields ride in a densely packed int64 pool — there is no Message
+// staging at all, so the send path writes 20 + 8*k bytes for a k-field
+// message and the scatter reads exactly those back. Senders append in node
+// order, so both pools are drained front-to-back by plain cursors.
 struct SendHeader {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
@@ -264,9 +209,6 @@ class Network {
 
   [[nodiscard]] const Graph& GraphRef() const noexcept { return graph_; }
   [[nodiscard]] const StaticKnowledge& Known() const noexcept { return known_; }
-  [[nodiscard]] const NetworkOptions& Options() const noexcept {
-    return options_;
-  }
   [[nodiscard]] const RunStats& Stats() const noexcept { return stats_; }
   [[nodiscard]] long Round() const noexcept { return round_; }
 
@@ -281,35 +223,13 @@ class Network {
  private:
   friend class NodeApi;
 
-  // Cross-node effects deferred out of the (possibly parallel) tick phase;
-  // the hot per-node per-round data lives in flat parallel arrays instead.
-  struct NodeState {
-    // Deferred MarkEdge/UnmarkEdge ops, applied in node order after phase
-    // (i) so parallel execution matches the sequential schedule exactly.
-    std::vector<std::pair<EdgeId, bool>> mark_ops;
-    long phase_delta = 0;    // deferred NotePhases contributions
-    bool effects_pending = false;  // on one executor's dirty list this round
-    std::unique_ptr<SplitMix64> rng;
-  };
-
-  // A node's sends this round: a contiguous run in one executor's arena.
-  struct OutRef {
-    std::uint32_t arena = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-  };
-
+  // A node's sends this round: a contiguous run of the send arena. Ticks
+  // ascend in node order, so the list is node-ordered as it is built.
   struct SenderRange {
     NodeId v = kNoNode;
-    std::uint32_t arena = 0;
-    std::uint32_t begin = 0;
     std::uint32_t count = 0;
   };
 
-  // Rounds with at least this many messages scatter payloads across the
-  // pool, partitioned by contiguous delivery-arena (receiver) ranges.
-  static constexpr std::size_t kParallelScatterMin = 4096;
-  static constexpr std::size_t kScatterBlock = 1024;
   // Headers of look-ahead for prefetching counting-sort scatter targets.
   static constexpr std::uint32_t kScatterPrefetch = 8;
 
@@ -320,17 +240,7 @@ class Network {
   static constexpr std::uint32_t kAppBit = std::uint32_t{1} << 31;
   static constexpr std::uint32_t kCountMask = kAppBit - 1;
 
-  void TickWord(int word, int executor);
-
-  // First deferred effect of a node's round: put it on its executor's
-  // dirty list so ApplyDeferredEffects visits only nodes that deferred.
-  void NoteEffects(NodeState& st, NodeId v, int executor) {
-    if (!st.effects_pending) {
-      st.effects_pending = true;
-      effect_nodes_[static_cast<std::size_t>(executor)].push_back(v);
-    }
-  }
-  void ApplyDeferredEffects();
+  void TickWord(int word);
   void DeliverRound();
 
   const Graph& graph_;
@@ -340,38 +250,27 @@ class Network {
   long round_ = 0;
   RunStats stats_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
-  std::vector<NodeState> nodes_;
+  std::vector<SplitMix64> rngs_;  // per node, DeriveSeed(seed_, v)
   std::vector<bool> in_cut_;
   std::vector<bool> marked_;
   long in_flight_ = 0;
 
   // --- per-round message arena (all persistent; zero steady-state alloc) ---
-  std::vector<detail::SendArena> send_arenas_;  // one per executor
-  std::vector<OutRef> out_ref_;                 // per node: sends this round
-  std::vector<SenderRange> senders_;            // nodes that sent, node order
+  // Send() runs the counting pass: per-receiver message counts for the
+  // *next* round accumulate in in_cnt_ / next_receivers_ while in_off_ /
+  // in_len_ still serve the current one, so DeliverRound() never re-scans
+  // the headers or sweeps all n nodes.
+  detail::SendArena send_;
+  std::vector<SenderRange> senders_;         // nodes that sent, node order
   std::vector<Delivery> arena_;              // delivery arena (only grows)
-  std::vector<std::uint64_t> scatter_src_;   // arena slot -> (send arena, idx)
-  std::vector<std::uint32_t> scatter_foff_;  // arena slot -> field-pool offset
-  std::vector<std::uint32_t> fields_cur_;    // per send arena: field cursor
   std::vector<std::uint32_t> in_off_;        // per node: inbox offset in arena
   std::vector<std::uint32_t> in_len_;        // per node: inbox length
   std::vector<std::uint32_t> in_cur_;        // per node: scatter cursor
   std::vector<long> last_app_;               // per node: last app activity
   std::vector<NodeId> receivers_;            // nodes with non-empty inbox
-  // Nodes with deferred cross-node effects this round, one dirty list per
-  // executor (racelessly appendable) merged and applied in node order —
-  // ApplyDeferredEffects is O(nodes that deferred), not O(n).
-  std::vector<std::vector<NodeId>> effect_nodes_;
-  std::vector<NodeId> effect_merge_;
-
-  // Sequential fast path (no pool): ticks ascend in node order, so Send()
-  // itself can run the counting pass — per-receiver message counts for the
-  // *next* round accumulate here while in_off_/in_len_ still serve the
-  // current one, and DeliverRound() skips the O(n) header re-scan.
-  bool fused_ = false;                       // true iff pool_ == nullptr
-  bool has_cut_ = false;                     // any cut edges registered?
   std::vector<std::uint32_t> in_cnt_;        // per node: next-round count
   std::vector<NodeId> next_receivers_;       // next-round receiver dirty list
+  bool has_cut_ = false;                     // any cut edges registered?
 
   // --- active-set bitsets (word-scanned, one bit per node) ----------------
   std::vector<std::uint64_t> recv_bits_;   // inbox non-empty this round
@@ -385,8 +284,7 @@ class Network {
   // ascending order instead of hopping through an edge-id permutation; each
   // sender's touched slots lie in its own incidence range, so the max-fold
   // and reset happen right after that sender's run (kept all-zero between).
-  std::vector<long> edge_bits_;             // slot-indexed; kept all-zero
-  std::unique_ptr<detail::RoundPool> pool_;  // nullptr => sequential phase (i)
+  std::vector<long> edge_bits_;  // slot-indexed; kept all-zero
 };
 
 // --- inline hot-path implementations ----------------------------------------
@@ -409,29 +307,19 @@ inline void NodeApi::Send(int local, Message msg) {
                    msg.channel != kChCtrl;
   if (app) net_.last_app_[static_cast<std::size_t>(id_)] = net_.round_;
   const NodeId to = nb_[static_cast<std::size_t>(local)].neighbor;
-  auto& arena = net_.send_arenas_[static_cast<std::size_t>(executor_)];
-  auto& ref = net_.out_ref_[static_cast<std::size_t>(id_)];
-  if (ref.count == 0) {
-    // First send this tick: claim a contiguous run in this executor's
-    // arena. The run stays contiguous because an executor ticks one node
-    // at a time.
-    ref.arena = static_cast<std::uint32_t>(executor_);
-    ref.begin = static_cast<std::uint32_t>(arena.hdr.size());
-    if (net_.fused_) {
-      // Sequential ticks ascend in node order, so recording senders here
-      // yields exactly the node-ordered list the counting pass would build.
-      net_.senders_.push_back(
-          Network::SenderRange{id_, ref.arena, ref.begin, 0});
-    }
+  // Ticks ascend in node order and each node ticks once per round, so this
+  // node's sends are one contiguous run at the back of the arena.
+  auto& senders = net_.senders_;
+  if (senders.empty() || senders.back().v != id_) {
+    senders.push_back(Network::SenderRange{id_, 0});
   }
-  ++ref.count;
-  if (net_.fused_) {
-    // Fused counting pass: accumulate next-round inbox sizes (and the
-    // receiver's app-activity flag) at send time.
-    auto& cnt = net_.in_cnt_[static_cast<std::size_t>(to)];
-    if ((cnt & Network::kCountMask) == 0) net_.next_receivers_.push_back(to);
-    cnt = (cnt + 1) | (app ? Network::kAppBit : 0);
-  }
+  ++senders.back().count;
+  // Counting pass: accumulate next-round inbox sizes (and the receiver's
+  // app-activity flag) at send time.
+  auto& cnt = net_.in_cnt_[static_cast<std::size_t>(to)];
+  if ((cnt & Network::kCountMask) == 0) net_.next_receivers_.push_back(to);
+  cnt = (cnt + 1) | (app ? Network::kAppBit : 0);
+  auto& arena = net_.send_;
   arena.hdr.push_back(detail::SendHeader{
       id_, to, slot_base_ + static_cast<std::uint32_t>(local), msg.channel,
       static_cast<std::uint16_t>(msg.BitSize()), static_cast<std::uint8_t>(app),

@@ -38,25 +38,25 @@ std::vector<SolveResult> BatchEngine::Run(
   const int n = static_cast<int>(requests.size());
   std::vector<SolveResult> results(requests.size());
 
-  const auto task = [&](int i, int /*executor*/) {
+  const auto task = [&](int i) {
     // The overload leaves the caller's request untouched (reusable across
     // engines/thread counts) without copying its instance data.
     const SolveRequest& req = requests[static_cast<std::size_t>(i)];
     const std::uint64_t seed =
         master_seed_ != 0 ? DeriveSeed(master_seed_, static_cast<std::uint64_t>(i))
                           : req.seed;
-    // When the batch fans out, it owns the cores: nested simulator pools
-    // would oversubscribe. An inline batch leaves the request's scheduler
-    // choice alone (bit-identical either way, DESIGN.md §2).
-    const int net_threads = pool_ ? 1 : req.options.net.threads;
-    results[static_cast<std::size_t>(i)] = Solve(req, seed, net_threads);
+    // When the batch fans out, it owns the cores: a nested portfolio pool
+    // would oversubscribe. An inline batch leaves the request's racing
+    // width alone.
+    const int threads = pool_ ? 1 : req.options.threads;
+    results[static_cast<std::size_t>(i)] = Solve(req, seed, threads);
   };
 
   const auto start = std::chrono::steady_clock::now();
   if (pool_) {
     pool_->ParallelFor(n, task);
   } else {
-    for (int i = 0; i < n; ++i) task(i, 0);
+    for (int i = 0; i < n; ++i) task(i);
   }
   const auto stop = std::chrono::steady_clock::now();
 

@@ -1,14 +1,13 @@
 // Throughput-oriented batch execution on top of the solver pipeline.
 //
-// `BatchEngine` fans a vector of `SolveRequest`s out across the reusable
-// round pool introduced for the simulator's phase (i) (congest/network.hpp,
-// DESIGN.md §2) and aggregates latency/throughput statistics. Determinism
-// discipline (DESIGN.md §3):
+// `BatchEngine` fans a vector of `SolveRequest`s out across a reusable
+// thread pool (solve/round_pool.hpp) and aggregates latency/throughput
+// statistics. Determinism discipline (DESIGN.md §3):
 //   * request i runs with the seed DeriveSeed(master_seed, i) when a master
 //     seed is set — one knob reseeds a whole batch reproducibly,
-//   * when the batch fans out (threads > 1), each request's simulator is
-//     forced to the sequential scheduler (net.threads = 1): the batch level
-//     owns the cores, and nested pools would oversubscribe,
+//   * when the batch fans out (threads > 1), each request runs with
+//     SolveOptions::threads = 1, so a portfolio races its roster inline:
+//     the batch level owns the cores, and nested pools would oversubscribe,
 //   * results are written into a pre-sized slot per request — no cross-task
 //     synchronization — so a batch is bit-identical across thread counts.
 #pragma once
@@ -18,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "solve/round_pool.hpp"
 #include "solve/solver.hpp"
 
 namespace dsf {

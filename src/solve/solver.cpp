@@ -12,6 +12,7 @@
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
 #include "dist/transform.hpp"
+#include "solve/round_pool.hpp"
 #include "solve/solver_spec.hpp"
 #include "steiner/exact.hpp"
 #include "steiner/greedy.hpp"
@@ -199,8 +200,7 @@ class DistKhanSolver final : public Solver {
 
 // Races a roster of registry solvers per unit on a RoundPool and returns
 // the cheapest feasible candidate (DESIGN.md §3 "Portfolio racing &
-// cancellation"). Members run with net.threads = 1 (no nested simulator
-// pools); the pool's width is SolveOptions::net.threads. mode=all runs
+// cancellation"). The pool's width is SolveOptions::threads. mode=all runs
 // every member to completion and picks by (weight, registry order) — the
 // result is bit-identical across every racing width. mode=first CASes the
 // first feasible finisher into the winner slot and cancels the rest via a
@@ -268,9 +268,9 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
     members.push_back({&SolverRegistry::Get(name), TableIndex(name)});
   }
 
-  // Racing width: net.threads (0 = hardware concurrency), never wider than
-  // the roster.
-  int width = options.net.threads;
+  // Racing width: SolveOptions::threads (0 = hardware concurrency), never
+  // wider than the roster.
+  int width = options.threads;
   if (width <= 0) {
     width = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
@@ -291,7 +291,7 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
   race.SetParent(options.cancel);
   std::atomic<int> first_winner{-1};
 
-  const auto run_member = [&](int i, int /*executor*/) {
+  const auto run_member = [&](int i) {
     Candidate& cand = candidates[static_cast<std::size_t>(i)];
     try {
       SolveOptions mo = options;
@@ -302,7 +302,6 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
       const CancelToken* token = options.race_first ? &race : options.cancel;
       mo.cancel = token;
       mo.net.cancel = token;
-      mo.net.threads = 1;  // no nested simulator pools under the racer
       // The unit seed goes to every member unchanged: mode=all equals the
       // min-cost over standalone runs, and editing the roster never
       // reshuffles another member's random stream.
@@ -341,11 +340,11 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
   if (options.race_first && !options.latency_hints.empty()) {
     order = PortfolioStartOrder(roster, options.latency_hints);
   }
-  const auto run_slot = [&](int slot, int executor) {
-    run_member(order[static_cast<std::size_t>(slot)], executor);
+  const auto run_slot = [&](int slot) {
+    run_member(order[static_cast<std::size_t>(slot)]);
   };
   if (width <= 1 || count <= 1) {
-    for (int i = 0; i < count; ++i) run_slot(i, 0);
+    for (int i = 0; i < count; ++i) run_slot(i);
   } else {
     detail::RoundPool pool(width);
     pool.ParallelFor(count, run_slot);
@@ -548,9 +547,9 @@ SolveResult Solve(const SolveRequest& request) {
 }
 
 SolveResult Solve(const SolveRequest& request, std::uint64_t seed_override,
-                  int net_threads_override) {
+                  int threads_override) {
   SolveOptions options = request.options;
-  options.net.threads = net_threads_override;
+  options.threads = threads_override;
   return SolveImpl(request, seed_override, options);
 }
 

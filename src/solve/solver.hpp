@@ -52,11 +52,13 @@ struct SolveOptions {
   // Solve the instance exactly as well and report the approximation ratio.
   // Subject to the exact solver's hard limits — small instances only.
   bool compute_reference = false;
-  // Simulator scheduling for the distributed solvers (active-set / threads);
-  // every setting is bit-identical, see DESIGN.md §2. The portfolio also
-  // reads net.threads as its racing width (members themselves run their
-  // simulators single-threaded — no nested pools).
+  // Simulator scheduling for the distributed solvers (active-set, run
+  // cancellation); every setting is bit-identical, see DESIGN.md §2.
   NetworkOptions net;
+  // Portfolio racing width (0 = hardware concurrency), clamped to the
+  // roster size; every other solver ignores it. BatchEngine forces 1 when
+  // it fans out, so a batch never nests pools.
+  int threads = 0;
   // Anytime deadline for the whole solve in wall milliseconds (0 = none):
   // the pipeline arms a CancelToken and the solver winds down at its next
   // checkpoint, returning its best partial output (SolveResult::cancelled).
@@ -183,10 +185,10 @@ std::vector<int> PortfolioStartOrder(
 // distributed protocol can run on).
 SolveResult Solve(const SolveRequest& request);
 
-// Batch-engine entry: runs `request` with an overridden seed and simulator
-// thread count without copying the request's instance data.
+// Batch-engine entry: runs `request` with an overridden seed and
+// SolveOptions::threads without copying the request's instance data.
 SolveResult Solve(const SolveRequest& request, std::uint64_t seed_override,
-                  int net_threads_override);
+                  int threads_override);
 
 // Convenience wrappers for the common call shapes.
 SolveResult Solve(std::string_view solver, const Graph& g,

@@ -88,7 +88,7 @@ TEST(BatchEngineTest, MasterSeedMatchesDirectPipelineCalls) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SolveRequest req = batch[i];
     req.seed = DeriveSeed(kMaster, i);
-    req.options.net.threads = 1;
+    req.options.threads = 1;
     direct.push_back(Solve(req));
   }
   ExpectSameResults(direct, results, "master-seed");

@@ -123,6 +123,48 @@ TEST(NetworkTest, MarkedEdgesCollected) {
   EXPECT_EQ(marked[0], 0);
 }
 
+// Both endpoints of one edge (u, v), u < v, touch it in the same round with
+// opposite intents: ticks run in node order, so v's call lands last and
+// decides the outcome under both schedulers.
+TEST(NetworkTest, SameRoundMarkConflictResolvesToHigherId) {
+  class Toggler : public NodeProgram {
+   public:
+    explicit Toggler(bool mark) : mark_(mark) {}
+    void OnRound(NodeApi& api) override {
+      if (api.Round() == 0) {
+        if (mark_) {
+          api.MarkEdge(0);
+        } else {
+          api.UnmarkEdge(0);
+        }
+      }
+      done_ = true;
+    }
+    [[nodiscard]] bool Done() const override { return done_; }
+
+   private:
+    bool mark_;
+    bool done_ = false;
+  };
+  const Graph g = MakePath(2);  // edge 0: (0, 1)
+  for (const bool active_set : {false, true}) {
+    for (const bool low_marks : {true, false}) {
+      Network net(g, KnownFor(g), 1, NetworkOptions{active_set});
+      net.Start([&](NodeId v) {
+        return std::make_unique<Toggler>(v == 0 ? low_marks : !low_marks);
+      });
+      net.Run(5);
+      SCOPED_TRACE(testing::Message() << "active_set=" << active_set
+                                      << " low_marks=" << low_marks);
+      if (low_marks) {
+        EXPECT_TRUE(net.MarkedEdges().empty());  // u marks, v unmarks
+      } else {
+        EXPECT_EQ(net.MarkedEdges(), std::vector<EdgeId>{0});  // u unmarks, v marks
+      }
+    }
+  }
+}
+
 TEST(NetworkTest, PerNodeRngIsDeterministicAndDistinct) {
   const Graph g = MakePath(3);
   class RngProbe : public NodeProgram {

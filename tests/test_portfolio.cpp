@@ -186,7 +186,7 @@ TEST(PortfolioDeterminismTest, ModeAllBitIdenticalAcrossThreads) {
       std::vector<SolveResult> runs;
       for (const int threads : {1, 4, 8}) {
         SolveOptions opt;
-        opt.net.threads = threads;
+        opt.threads = threads;
         runs.push_back(Solve("portfolio", *g, ic, opt, seed));
       }
       for (std::size_t i = 1; i < runs.size(); ++i) {
@@ -237,7 +237,7 @@ TEST(PortfolioSemanticsTest, ModeFirstReturnsAFeasibleMemberResult) {
   }
   for (const int threads : {1, 4}) {
     SolveOptions opt;
-    opt.net.threads = threads;
+    opt.threads = threads;
     const SolveResult res = Solve("portfolio(mode=first)", g, ic, opt, 2);
     EXPECT_TRUE(res.feasible) << "threads=" << threads;
     EXPECT_TRUE(IsFeasible(g, ic, res.forest)) << "threads=" << threads;
