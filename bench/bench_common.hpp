@@ -1,11 +1,11 @@
-// Shared helpers for the benchmark suite. Each bench binary regenerates one
-// experiment row of DESIGN.md §6; results are exposed as benchmark counters
-// (rounds, ratios, phases, bits) — the quantities the paper's theorems bound.
+// Shared helpers for the benchmark suite. The bench binaries cover the
+// DESIGN.md §6 rows not folded into the paper manifest
+// (scenarios/paper/); results are exposed as benchmark counters (rounds,
+// ratios, phases, bits) — the quantities the paper's theorems bound.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,10 +15,6 @@
 #include "steiner/instance.hpp"
 
 namespace dsf::bench {
-
-// Raw key=value parameters for the workload registries
-// (workload/generators.hpp, workload/samplers.hpp).
-using ParamList = std::vector<std::pair<std::string, std::string>>;
 
 // Spreads 2 terminals per component across the node range, deterministically
 // but "randomly" w.r.t. the seed, avoiding collisions.

@@ -6,10 +6,11 @@
 //   * Flood — every node sends on every edge every round: zero idle nodes,
 //     so this isolates the per-message path (mirror delivery, dirty-list
 //     accounting, inline message fields, buffer reuse).
-//   * DetMoat / Rand — the paper's protocols on the largest
-//     bench_rounds_vs_n configuration (n = 256 sparse): the end-to-end
-//     wall-clock the ISSUE's ≥3x acceptance criterion is stated over, where
-//     active-set scheduling additionally skips quiescent nodes.
+//   * DetMoat / Rand — the paper's protocols on the shape of the paper
+//     manifest's n = 256 cell (scenarios/paper/e4_rounds_vs_k_n.dsf, sparse
+//     ER at p = 6/n, k = 4): the end-to-end wall clock the simulator's ≥3x
+//     speedup target is stated over, where active-set scheduling
+//     additionally skips quiescent nodes.
 //
 // Pre-refactor reference numbers (same machine, RelWithDebInfo — the
 // default build type — the seed simulator at commit 89e4cf6) are recorded
@@ -142,7 +143,7 @@ void BM_FloodDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FloodDense)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// The largest bench_rounds_vs_n configuration (E5's n = 256 sparse row):
+// The shape of the paper manifest's n = 256 cell (E4's largest n-sweep row):
 // end-to-end protocol wall clock. Static knowledge is warmed outside the
 // timed region — it is a granted input (footnote 2), not simulator work.
 void BM_DetMoatLargestN(benchmark::State& state) {

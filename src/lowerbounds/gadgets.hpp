@@ -62,9 +62,12 @@ struct PathGadget {
 };
 
 // Builds the Lemma 3.4-flavored family: a unit-weight path of `path_length`
-// edges between the two terminals, plus a hub joined to every `stride`-th
-// path node with weight ~2*path_length (keeps D <= 4 without creating
-// weighted shortcuts).
+// edges between the two terminals, plus a hub (node path_length + 1) joined
+// to every `stride`-th path node and to the last one, with weight
+// 2*path_length (no weighted shortcut). Every path node is within
+// floor(stride/2) hops of a hub neighbour, so for path_length >= 3*stride
+// D = 2*floor(stride/2) + 2 (6 at stride 4, 4 at stride 2), while
+// s = path_length.
 PathGadget BuildPathGadget(int path_length, int stride);
 
 }  // namespace dsf

@@ -139,6 +139,10 @@ void WriteSuiteBaseline(std::ostream& out, const SuiteBaseline& baseline) {
     w.Int(cell.n);
     w.Key("m");
     w.Int(cell.m);
+    w.Key("D");
+    w.Int(cell.D);
+    w.Key("s");
+    w.Int(cell.s);
     w.Key("quality");
     w.BeginObject();
     w.Key("cost");
@@ -151,8 +155,12 @@ void WriteSuiteBaseline(std::ostream& out, const SuiteBaseline& baseline) {
     w.DoubleExact(cell.ratio);
     w.Key("rounds");
     w.Int(cell.rounds);
+    w.Key("charged_rounds");
+    w.Int(cell.charged_rounds);
     w.Key("messages");
     w.Int(cell.messages);
+    w.Key("phases");
+    w.Int(cell.phases);
     w.EndObject();
     w.Key("timing");
     w.BeginObject();
@@ -214,6 +222,8 @@ SuiteBaseline ParseSuiteBaseline(const std::string& text,
     cell.source = NeedString(item, "source", origin);
     cell.n = NeedInt(item, "n", origin);
     cell.m = NeedInt(item, "m", origin);
+    cell.D = NeedInt(item, "D", origin);
+    cell.s = NeedInt(item, "s", origin);
     const JsonValue& quality = Need(item, "quality", origin);
     if (!quality.IsObject()) Fail(origin, "'quality' must be an object");
     cell.cost = NeedInt(quality, "cost", origin);
@@ -221,7 +231,9 @@ SuiteBaseline ParseSuiteBaseline(const std::string& text,
     cell.dual_lb_fixed = NeedInt(quality, "dual_lb_fixed", origin);
     cell.ratio = NeedDouble(quality, "ratio", origin);
     cell.rounds = NeedInt(quality, "rounds", origin);
+    cell.charged_rounds = NeedInt(quality, "charged_rounds", origin);
     cell.messages = NeedInt(quality, "messages", origin);
+    cell.phases = NeedInt(quality, "phases", origin);
     const JsonValue& timing = Need(item, "timing", origin);
     if (!timing.IsObject()) Fail(origin, "'timing' must be an object");
     cell.p50_ms = NeedDouble(timing, "p50_ms", origin);

@@ -17,7 +17,7 @@
 namespace dsf {
 
 // Bumped when the cell schema changes; readers reject other versions.
-inline constexpr int kSuiteBaselineVersion = 1;
+inline constexpr int kSuiteBaselineVersion = 2;
 
 void WriteSuiteBaseline(std::ostream& out, const SuiteBaseline& baseline);
 // The document as a string (the canonical bytes `--record` commits).

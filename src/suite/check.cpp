@@ -82,6 +82,8 @@ SuiteCheckResult CompareBaselines(const SuiteBaseline& committed,
     };
     exact("n", base.n, now.n);
     exact("m", base.m, now.m);
+    exact("D", base.D, now.D);
+    exact("s", base.s, now.s);
     exact("cost", base.cost, now.cost);
     if (base.feasible != now.feasible) {
       add(key, "feasible", base.feasible ? "true" : "false",
@@ -92,7 +94,9 @@ SuiteCheckResult CompareBaselines(const SuiteBaseline& committed,
       add(key, "ratio", FormatRatio(base.ratio), FormatRatio(now.ratio));
     }
     exact("rounds", base.rounds, now.rounds);
+    exact("charged_rounds", base.charged_rounds, now.charged_rounds);
     exact("messages", base.messages, now.messages);
+    exact("phases", base.phases, now.phases);
     // Timing: only a p95 beyond the committed band is a regression. Faster
     // is never flagged — committing a faster baseline is a deliberate act.
     const double limit = base.p95_ms * (1.0 + band) + floor_ms;

@@ -2,11 +2,12 @@
 //
 // Tolerance policy (DESIGN.md §9): quality fields are compared exactly —
 // the solvers are deterministic and fixed-point, so ANY drift in cost,
-// feasibility, dual bound, rounds, or messages is a behavior change that
-// must be acknowledged by regenerating the baseline. Timing fields are
-// machine-dependent, so only a p95 that exceeds the committed p95 by more
-// than the banded tolerance (committed * (1 + band) + floor, knobs stamped
-// into the committed baseline) counts as a regression. A digest mismatch
+// feasibility, dual bound, rounds, charged rounds, messages, or phases (or
+// in the n/m/D/s context) is a behavior change that must be acknowledged by
+// regenerating the baseline. Timing fields are machine-dependent, so only a
+// p95 that exceeds the committed p95 by more than the banded tolerance
+// (committed * (1 + band) + floor, knobs stamped into the committed
+// baseline) counts as a regression. A digest mismatch
 // means the corpus itself changed; comparing cells across different corpora
 // would be meaningless, so that fails fast with a "stale baseline" verdict.
 #pragma once

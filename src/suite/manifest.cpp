@@ -9,6 +9,7 @@
 #include "common/hash.hpp"
 #include "common/text.hpp"
 #include "solve/solver_spec.hpp"
+#include "workload/spec.hpp"
 
 namespace dsf {
 
@@ -96,14 +97,20 @@ SuiteManifest ParseSuiteManifest(std::istream& in, const std::string& origin) {
     } else if (directive == "solver") {
       const std::string spec = want_word("solver spec");
       no_trailing();
-      std::string why;
-      if (!IsValidSolverSpec(spec, &why)) Fail(origin, line, why);
+      // Canonical form: two spellings of one configuration (a reordered
+      // portfolio roster) would otherwise run the same cells twice.
+      std::string canonical;
+      try {
+        canonical = ParseSolverSpec(spec).Canonical();
+      } catch (const std::exception& e) {
+        Fail(origin, line, e.what());
+      }
       for (const std::string& other : manifest.solvers) {
-        if (other == spec) {
-          Fail(origin, line, "duplicate solver '" + spec + "'");
+        if (other == canonical) {
+          Fail(origin, line, "duplicate solver '" + canonical + "'");
         }
       }
-      manifest.solvers.push_back(spec);
+      manifest.solvers.push_back(std::move(canonical));
     } else if (directive == "timing-reps") {
       if (reps_seen) Fail(origin, line, "duplicate 'timing-reps' directive");
       const long long value = want_long("repetition count");
@@ -179,24 +186,45 @@ std::string SuiteDigest(const SuiteManifest& manifest) {
   for (const std::string& solver : manifest.solvers) {
     h.Bytes(solver).Byte(0);
   }
-  h.I64(static_cast<std::int64_t>(manifest.sources.size()));
-  for (const SuiteSource& src : manifest.sources) {
-    h.Byte(static_cast<std::uint8_t>(src.kind));
-    h.Bytes(src.path).Byte(0);
-    std::ifstream in(ResolveSuitePath(manifest, src),
-                     std::ios::in | std::ios::binary);
+  // Hashes a file's bytes; false when it cannot be read.
+  const auto hash_file = [&h](const std::string& path) {
+    std::ifstream in(path, std::ios::in | std::ios::binary);
     if (!in) {
       // Only tolerable for optional sources; the runner rejects missing
       // required files before any digest is compared, so hashing a marker
       // here keeps the digest total without duplicating that error path.
       h.Bytes("<absent>");
-      continue;
+      return false;
     }
     std::ostringstream content;
     content << in.rdbuf();
     const std::string text = content.str();
     h.I64(static_cast<std::int64_t>(text.size()));
     h.Bytes(text);
+    return true;
+  };
+  h.I64(static_cast<std::int64_t>(manifest.sources.size()));
+  for (const SuiteSource& src : manifest.sources) {
+    h.Byte(static_cast<std::uint8_t>(src.kind));
+    h.Bytes(src.path).Byte(0);
+    const std::string resolved = ResolveSuitePath(manifest, src);
+    if (!hash_file(resolved) || src.kind != SuiteSource::Kind::kSpec) continue;
+    // A spec's imports and churn traces are corpus too: editing one must
+    // read as a stale baseline, not as a solver regression.
+    const WorkloadSpec spec = LoadWorkloadSpec(resolved);
+    for (const CaseSpec& cs : spec.cases) {
+      if (cs.kind == CaseSpec::Kind::kImportStp ||
+          cs.kind == CaseSpec::Kind::kImportDimacs) {
+        h.Bytes(cs.path).Byte(0);
+        hash_file(ResolveSpecPath(spec, cs.path));
+      }
+      for (const InstanceSpec& inst : cs.instances) {
+        if (inst.kind == InstanceSpec::Kind::kChurn) {
+          h.Bytes(inst.path).Byte(0);
+          hash_file(ResolveSpecPath(spec, inst.path));
+        }
+      }
+    }
   }
 
   std::ostringstream os;

@@ -8,7 +8,8 @@
 //   seed <N>               # suite master seed, >= 1 (default 1); per-cell
 //                          #   solver seeds derive from it
 //   solver <spec>          # one roster entry: a registry name or a
-//                          #   parameterized spec (repeat per solver)
+//                          #   parameterized spec (repeat per solver),
+//                          #   stored in canonical form
 //   timing-reps <N>        # timed repetitions of the matrix (default 3);
 //                          #   p50/p95 are taken across the reps
 //   latency-band <X>       # p95 regression tolerance: fresh p95 may exceed
@@ -24,9 +25,9 @@
 //                          #   samplers, churn replays, sweeps)
 //
 // Paths resolve relative to the manifest file. `SuiteDigest` fingerprints
-// the manifest AND the content of every referenced file, so `--check` can
-// tell "the corpus changed, regenerate the baseline" apart from "a solver
-// regressed".
+// the manifest AND the content of every referenced file — including the
+// imports and churn traces a spec names — so `--check` can tell "the corpus
+// changed, regenerate the baseline" apart from "a solver regressed".
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,8 @@ struct SuiteManifest {
 };
 
 // Rejects malformed input with `origin:line` errors (unknown directives,
-// invalid solver specs, duplicate solvers/paths, out-of-range knobs, empty
-// roster or source list).
+// invalid solver specs, duplicate solvers — compared in canonical form —
+// or paths, out-of-range knobs, empty roster or source list).
 SuiteManifest ParseSuiteManifest(std::istream& in, const std::string& origin);
 
 // Reads and parses `path` (sets base_dir to its directory). Throws
@@ -70,10 +71,12 @@ std::string ResolveSuitePath(const SuiteManifest& manifest,
 
 // Hex fingerprint of the manifest's semantic content: seed, knobs, roster,
 // and per source its kind, path, and the bytes of the resolved file (absent
-// optional files hash as a distinguished marker). Any corpus edit — a new
-// source line, a regenerated .stp, a fetched optional set — changes the
-// digest, which is what lets `--check` fail a stale baseline loudly instead
-// of diffing cells across different corpora.
+// optional files hash as a distinguished marker); for a `spec` source, also
+// the path and bytes of every `import` / `churn` file it names. Any corpus
+// edit — a new source line, a regenerated .stp, an edited trace, a fetched
+// optional set — changes the digest, which is what lets `--check` fail a
+// stale baseline loudly instead of diffing cells across different corpora.
+// Throws std::runtime_error when a readable spec source does not parse.
 std::string SuiteDigest(const SuiteManifest& manifest);
 
 }  // namespace dsf

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/random.hpp"
+#include "graph/properties.hpp"
 #include "lowerbounds/dual_bound.hpp"
 #include "solve/batch.hpp"
 #include "steiner/moat.hpp"
@@ -153,6 +154,11 @@ SuiteBaseline RunSuite(const SuiteManifest& manifest,
     cell.source = ref.wc->source;
     cell.n = ref.wc->graph.NumNodes();
     cell.m = ref.wc->graph.NumEdges();
+    // After the timed reps: a distributed solver warms this memo itself, so
+    // filling it earlier would shift that solver's first-rep timing.
+    const GraphParameters& params = CachedParameters(ref.wc->graph);
+    cell.D = params.unweighted_diameter;
+    cell.s = params.shortest_path_diameter;
     cell.cost = res.weight + options.inject_cost_delta;
     cell.feasible = res.feasible;
     cell.dual_lb_fixed = duals[i % (stripe == 0 ? 1 : stripe)];
@@ -161,7 +167,9 @@ SuiteBaseline RunSuite(const SuiteManifest& manifest,
                    static_cast<double>(FixedToReal(cell.dual_lb_fixed));
     }
     cell.rounds = res.stats.rounds;
+    cell.charged_rounds = res.stats.charged_rounds;
     cell.messages = res.stats.messages;
+    cell.phases = res.phases;
     std::sort(wall_ms[i].begin(), wall_ms[i].end());
     cell.p50_ms = PercentileOfSorted(wall_ms[i], 0.5);
     cell.p95_ms = PercentileOfSorted(wall_ms[i], 0.95) + options.inject_p95_ms;

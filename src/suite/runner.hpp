@@ -2,9 +2,10 @@
 //
 // One run measures every (instance, solver) cell twice over:
 //   * quality — cost, feasibility, the Lemma C.4 dual lower bound and the
-//     cost/dual ratio, simulator rounds and messages. All of these are
-//     bit-stable (fixed-point arithmetic, seeded solvers, deterministic
-//     simulator), so the baseline diff can demand exact equality.
+//     cost/dual ratio, simulator rounds, charged rounds, messages and the
+//     solver's phase count. All of these are bit-stable (fixed-point arithmetic, seeded
+//     solvers, deterministic simulator), so the baseline diff can demand
+//     exact equality.
 //   * timing — p50/p95 wall milliseconds across `timing_reps` repetitions
 //     of the whole matrix. Timing is machine-dependent and only ever
 //     compared within the banded tolerance policy.
@@ -28,15 +29,23 @@ struct SuiteCell {
   std::string case_name;
   std::string instance;
   std::string source;  // e.g. "import stp b_like_01.stp", "generate er"
-  long long n = 0;     // case topology size (context, compared exactly)
+  // Case topology (context, compared exactly): size, hop diameter D and
+  // shortest-path diameter s — the parameters the round bounds are stated in.
+  long long n = 0;
   long long m = 0;
+  long long D = 0;
+  long long s = 0;
   // Quality (exact comparison):
   long long cost = 0;
   bool feasible = false;
   long long dual_lb_fixed = 0;  // Lemma C.4 dual, Fixed units (2^-12)
   double ratio = 0.0;           // cost / FixedToReal(dual); 0 when dual == 0
   long long rounds = 0;
+  long long charged_rounds = 0;  // rounds charged for substituted subroutines
   long long messages = 0;
+  long long phases = 0;  // solver's own phase count: moat merge phases,
+                         // greedy merges, local-search passes; 0 for
+                         // dist-rand, dist-khan and mst-prune
   // Timing (banded comparison):
   double p50_ms = 0.0;
   double p95_ms = 0.0;

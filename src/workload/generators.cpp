@@ -10,6 +10,7 @@
 
 #include "common/random.hpp"
 #include "graph/generators.hpp"
+#include "lowerbounds/gadgets.hpp"
 
 namespace dsf {
 
@@ -344,9 +345,23 @@ Graph BuildPowerLaw(const ParamMap& pm, std::uint64_t seed) {
   return g;
 }
 
+// The Lemma 3.4 path gadget (lowerbounds/gadgets.hpp): a unit-weight path
+// 0-1-...-len plus a hub (id len + 1) joined to every 4th path node by
+// edges of weight 2 * len. s = len while D stays 6 (for len >= 12): the
+// regime where the Omega(min{s, sqrt(n)}) bound bites. Its terminals, 0 and
+// len, belong in an explicit `ic` block.
+constexpr ParamSpec kLbPathParams[] = {
+    {"len", Kind::kInt, "path edges between the terminals 0 and len", 32, 2,
+     kMaxNodes - 2},
+    kSaltSpec,
+};
+Graph BuildLbPath(const ParamMap& pm, std::uint64_t) {
+  return BuildPathGadget(IntParam(pm, "len"), 4).graph;
+}
+
 // Canonical registration order — also the order Names() reports and
 // `dsf --list-generators` prints.
-constexpr std::array<GeneratorFamily, 12> kFamilies{{
+constexpr std::array<GeneratorFamily, 13> kFamilies{{
     {"path", "path 0-1-...-(n-1), uniform weight", kPathParams, BuildPath},
     {"cycle", "cycle on n nodes, uniform weight", kCycleParams, BuildCycle},
     {"star", "star: center 0 with n-1 leaves", kStarParams, BuildStar},
@@ -370,6 +385,9 @@ constexpr std::array<GeneratorFamily, 12> kFamilies{{
     {"power-law",
      "preferential-attachment graph: node i joins `m` degree-biased targets",
      kPowerLawParams, BuildPowerLaw},
+    {"lb-path",
+     "Lemma 3.4 path gadget: path 0..len plus a hub on every 4th node",
+     kLbPathParams, BuildLbPath},
 }};
 
 }  // namespace

@@ -555,13 +555,13 @@ void ForEachCombination(const RawParams& params, Fn&& fn) {
   }
 }
 
-std::string ResolveImportPath(const WorkloadSpec& spec, const CaseSpec& cs) {
-  const std::filesystem::path p(cs.path);
-  if (p.is_absolute() || spec.base_dir.empty()) return cs.path;
+}  // namespace
+
+std::string ResolveSpecPath(const WorkloadSpec& spec, const std::string& path) {
+  const std::filesystem::path p(path);
+  if (p.is_absolute() || spec.base_dir.empty()) return path;
   return (std::filesystem::path(spec.base_dir) / p).string();
 }
-
-}  // namespace
 
 Workload ExpandWorkload(const WorkloadSpec& spec) {
   Workload out;
@@ -580,9 +580,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
     // combinations; load it once per block.
     ImportedWorkload imported;
     if (cs.kind == CaseSpec::Kind::kImportStp) {
-      imported = LoadSteinLib(ResolveImportPath(spec, cs));
+      imported = LoadSteinLib(ResolveSpecPath(spec, cs.path));
     } else if (cs.kind == CaseSpec::Kind::kImportDimacs) {
-      imported = LoadDimacs(ResolveImportPath(spec, cs));
+      imported = LoadDimacs(ResolveSpecPath(spec, cs.path));
     }
 
     ForEachCombination(cs.params, [&](std::span<const std::size_t> idx) {
@@ -665,12 +665,8 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
         }
         if (inst.kind == InstanceSpec::Kind::kChurn) {
           try {
-            const std::filesystem::path p(inst.path);
-            const std::string resolved =
-                (p.is_absolute() || spec.base_dir.empty())
-                    ? inst.path
-                    : (std::filesystem::path(spec.base_dir) / p).string();
-            const ChurnTrace trace = LoadChurnTrace(resolved);
+            const ChurnTrace trace =
+                LoadChurnTrace(ResolveSpecPath(spec, inst.path));
             if (trace.base.NumNodes() != n) {
               throw std::runtime_error(
                   "churn trace '" + inst.path + "' covers " +

@@ -128,6 +128,10 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin);
 // single-case spec. Throws std::runtime_error when unreadable.
 WorkloadSpec LoadWorkloadSpec(const std::string& path);
 
+// `path` (an import or churn path as written) joined onto the spec's
+// base_dir; absolute paths pass through.
+std::string ResolveSpecPath(const WorkloadSpec& spec, const std::string& path);
+
 // --- expansion ---------------------------------------------------------------
 
 // One concrete topology with its instances.

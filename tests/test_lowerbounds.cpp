@@ -121,10 +121,10 @@ TEST(PathGadgetTest, StructureMatchesLemma34) {
   const auto gadget = BuildPathGadget(64, 4);
   const auto params = ComputeParameters(gadget.graph);
   EXPECT_TRUE(params.connected);
-  // t = 2, k = 1, D small, s = path length.
+  // t = 2, k = 1, D = 2*floor(stride/2) + 2, s = path length.
   EXPECT_EQ(gadget.ic.NumTerminals(), 2);
   EXPECT_EQ(gadget.ic.NumComponents(), 1);
-  EXPECT_LE(params.unweighted_diameter, 8);
+  EXPECT_EQ(params.unweighted_diameter, 6);
   EXPECT_GE(params.shortest_path_diameter, 64);
 }
 

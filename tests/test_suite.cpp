@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "solve/solver_spec.hpp"
 #include "suite/baseline.hpp"
 #include "suite/check.hpp"
 #include "suite/corpus.hpp"
@@ -110,6 +112,12 @@ TEST(SuiteManifestTest, ErrorsCarryOriginAndLine) {
   EXPECT_NE(ErrorOf("solver gw-moat\nsolver gw-moat\nstp a.stp\n")
                 .find("<string>:2:"),
             std::string::npos);
+  // Two spellings of one portfolio configuration are one solver.
+  EXPECT_NE(ErrorOf("solver portfolio(roster=gw-moat+mst-prune)\n"
+                    "solver portfolio(roster=mst-prune+gw-moat)\n"
+                    "stp a.stp\n")
+                .find("<string>:2: duplicate solver"),
+            std::string::npos);
   // Duplicate source path on line 3.
   EXPECT_NE(ErrorOf("solver gw-moat\nstp a.stp\nstp a.stp\n")
                 .find("<string>:3:"),
@@ -121,6 +129,17 @@ TEST(SuiteManifestTest, ErrorsCarryOriginAndLine) {
   // Empty roster / empty source list.
   EXPECT_NE(ErrorOf("stp a.stp\n").find("solver"), std::string::npos);
   EXPECT_NE(ErrorOf("solver gw-moat\n").find("source"), std::string::npos);
+}
+
+TEST(SuiteManifestTest, SolversAreStoredInCanonicalForm) {
+  const SuiteManifest m = ParseString(
+      "solver mst-prune\n"
+      "solver portfolio(roster=mst-prune+gw-moat)\n"
+      "stp a.stp\n");
+  ASSERT_EQ(m.solvers.size(), 2u);
+  EXPECT_EQ(m.solvers[0], "mst-prune");  // plain names are already canonical
+  EXPECT_EQ(m.solvers[1],
+            ParseSolverSpec("portfolio(roster=gw-moat+mst-prune)").Canonical());
 }
 
 TEST(SuiteManifestTest, DigestTracksContentAndReferencedFiles) {
@@ -148,6 +167,47 @@ TEST(SuiteManifestTest, DigestTracksContentAndReferencedFiles) {
     std::ofstream out(::testing::TempDir() + "/suite_tiny.stp");
     out << kTinyStp;
   }
+}
+
+// The files a spec source names (imports, churn traces) are corpus too: an
+// edited trace must read as a stale baseline, not a solver regression.
+TEST(SuiteManifestTest, DigestTracksFilesReferencedFromSpecs) {
+  const std::string dir = ::testing::TempDir();
+  const std::string trace_path = dir + "/suite_ref_churn.trace";
+  std::string trace;
+  {
+    std::ifstream in(std::string(DSF_SOURCE_DIR) +
+                         "/scenarios/suite/churn_base.trace",
+                     std::ios::binary);
+    ASSERT_TRUE(in);
+    std::ostringstream content;
+    content << in.rdbuf();
+    trace = content.str();
+  }
+  const auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  };
+  write(trace_path, trace);
+  write(dir + "/suite_ref_tiny.stp", kTinyStp);
+  write(dir + "/suite_ref.dsf",
+        "generate er n=100 p=0.05 as er100\n"
+        "churn c0 suite_ref_churn.trace\n"
+        "import stp suite_ref_tiny.stp as tiny\n");
+  const std::string manifest_path = dir + "/suite_ref.dsf-suite";
+  write(manifest_path, "solver gw-moat\nspec suite_ref.dsf\n");
+
+  const std::string before = SuiteDigest(LoadSuiteManifest(manifest_path));
+  write(trace_path, trace + "# touched\n");
+  const std::string after_trace =
+      SuiteDigest(LoadSuiteManifest(manifest_path));
+  EXPECT_NE(before, after_trace);
+  write(dir + "/suite_ref_tiny.stp", std::string(kTinyStp) + "# touched\n");
+  EXPECT_NE(after_trace, SuiteDigest(LoadSuiteManifest(manifest_path)));
+  // Restoring the bytes restores the digest: content, not mtime, counts.
+  write(trace_path, trace);
+  write(dir + "/suite_ref_tiny.stp", kTinyStp);
+  EXPECT_EQ(before, SuiteDigest(LoadSuiteManifest(manifest_path)));
 }
 
 // --- runner + baseline -------------------------------------------------------
@@ -198,6 +258,42 @@ TEST(SuiteBaselineTest, JsonRoundTripIsBitIdentical) {
   EXPECT_EQ(parsed.cells[0].cost, b.cells[0].cost);
   EXPECT_EQ(parsed.cells[0].ratio, b.cells[0].ratio);
   EXPECT_EQ(parsed.cells[0].p95_ms, b.cells[0].p95_ms);
+}
+
+// The D/s context and the charged_rounds/phases quality fields survive
+// write -> read -> write byte for byte, from a real distributed run.
+TEST(SuiteBaselineTest, RoundTripKeepsRoundAndContextFields) {
+  const std::string dir = ::testing::TempDir();
+  {
+    std::ofstream out(dir + "/suite_dist.dsf-suite");
+    out << "solver dist-det\nsolver dist-rand\ntiming-reps 1\n"
+           "stp suite_tiny.stp\n";
+  }
+  (void)WriteTinySuite();  // the .stp source
+  const SuiteManifest manifest =
+      LoadSuiteManifest(dir + "/suite_dist.dsf-suite");
+  SuiteBaseline b = RunSuite(manifest);
+  ASSERT_EQ(b.cells.size(), 2u);
+  const SuiteCell& det = b.cells[0];
+  const SuiteCell& rnd = b.cells[1];
+  // The 4-node ring 1-2-3-4 (weights 1, 2, 1, 5): D = 2, and the least-
+  // weight 1-4 route 1-2-3-4 takes s = 3 hops.
+  EXPECT_EQ(det.D, 2);
+  EXPECT_EQ(det.s, 3);
+  EXPECT_GT(det.rounds, 0);
+  EXPECT_GT(det.phases, 0);
+  EXPECT_GT(rnd.charged_rounds, 0);
+
+  const std::string once = SuiteBaselineToJson(b);
+  const SuiteBaseline parsed = ParseSuiteBaseline(once, "<mem>");
+  EXPECT_EQ(once, SuiteBaselineToJson(parsed));
+  for (std::size_t i = 0; i < b.cells.size(); ++i) {
+    EXPECT_EQ(parsed.cells[i].D, b.cells[i].D);
+    EXPECT_EQ(parsed.cells[i].s, b.cells[i].s);
+    EXPECT_EQ(parsed.cells[i].charged_rounds, b.cells[i].charged_rounds);
+    EXPECT_EQ(parsed.cells[i].phases, b.cells[i].phases);
+  }
+  EXPECT_NE(once.find("\"dsf_suite_version\":2"), std::string::npos);
 }
 
 TEST(SuiteBaselineTest, ReaderRejectsMalformedDocuments) {
@@ -279,6 +375,28 @@ TEST(SuiteCheckTest, DigestMismatchReportsStaleBaseline) {
   EXPECT_NE(r.report.find("--record"), std::string::npos);
 }
 
+TEST(SuiteCheckTest, FlagsDriftInRoundAndContextFields) {
+  const SuiteManifest manifest = LoadSuiteManifest(WriteTinySuite());
+  const SuiteBaseline committed = RunSuite(manifest);
+  const auto metrics_after = [&](void (*mutate)(SuiteCell&)) {
+    SuiteBaseline fresh = committed;
+    mutate(fresh.cells[0]);
+    std::vector<std::string> metrics;
+    for (const SuiteRegression& r :
+         CompareBaselines(committed, fresh).regressions) {
+      metrics.push_back(r.metric);
+    }
+    return metrics;
+  };
+  using Metrics = std::vector<std::string>;
+  EXPECT_EQ(metrics_after([](SuiteCell& c) { c.charged_rounds += 1; }),
+            Metrics{"charged_rounds"});
+  EXPECT_EQ(metrics_after([](SuiteCell& c) { c.phases += 1; }),
+            Metrics{"phases"});
+  EXPECT_EQ(metrics_after([](SuiteCell& c) { c.s += 1; }), Metrics{"s"});
+  EXPECT_EQ(metrics_after([](SuiteCell& c) { c.D += 1; }), Metrics{"D"});
+}
+
 TEST(SuiteCheckTest, MissingAndExtraCellsAreStructuralRegressions) {
   const SuiteManifest manifest = LoadSuiteManifest(WriteTinySuite());
   const SuiteBaseline committed = RunSuite(manifest);
@@ -322,6 +440,54 @@ TEST(SuiteCorpusTest, CommittedManifestLoadsAndListsTheWall) {
   EXPECT_GE(m.solvers.size(), 5u);
   EXPECT_GE(m.sources.size(), 8u);  // 6 stp + optional + spec
   EXPECT_EQ(m.seed, 9181u);
+}
+
+// The paper's round experiments (DESIGN.md §6 rows E3, E4, E7): the
+// committed baseline matches the committed manifest and holds a dist-det
+// and a dist-rand cell for every swept x-value, plus the E7 baseline.
+TEST(SuiteCorpusTest, CommittedPaperBaselineCoversTheRoundSeries) {
+  const std::string root = DSF_SOURCE_DIR;
+  const SuiteManifest m =
+      LoadSuiteManifest(root + "/scenarios/paper/manifest.dsf-suite");
+  const SuiteBaseline b = LoadSuiteBaseline(root + "/bench/SUITE_paper.json");
+  EXPECT_EQ(b.manifest_digest, SuiteDigest(m));
+  EXPECT_EQ(b.solvers,
+            (std::vector<std::string>{"dist-det", "dist-rand", "dist-khan"}));
+
+  std::vector<std::pair<std::string, std::string>> want;  // (case, instance)
+  for (const int pieces : {1, 2, 4, 8}) {
+    want.push_back({"subdiv[pieces=" + std::to_string(pieces) + "]", "fixed"});
+  }
+  for (const int len : {16, 32, 64, 128}) {
+    want.push_back({"gadget" + std::to_string(len), "ends"});
+  }
+  for (int k = 1; k <= 8; ++k) {
+    want.push_back({"cycle96", "clustered-k" + std::to_string(k)});
+  }
+  for (int k = 1; k <= 10; ++k) {
+    want.push_back({"er96", "spread[k=" + std::to_string(k) + "]"});
+  }
+  for (const int n : {32, 64, 128, 256}) {
+    want.push_back({"er-n" + std::to_string(n), "spread"});
+  }
+  for (const int k : {1, 2, 4, 6, 8}) {
+    want.push_back({"er64", "spread[k=" + std::to_string(k) + "]"});
+  }
+  for (const std::string solver : {"dist-det", "dist-rand", "dist-khan"}) {
+    for (const auto& [case_name, instance] : want) {
+      const auto it = std::find_if(
+          b.cells.begin(), b.cells.end(), [&](const SuiteCell& c) {
+            return c.solver == solver && c.case_name == case_name &&
+                   c.instance == instance;
+          });
+      ASSERT_NE(it, b.cells.end())
+          << solver << " / " << case_name << " / " << instance;
+      EXPECT_TRUE(it->feasible) << solver << " / " << case_name;
+      EXPECT_GT(it->rounds, 0) << solver << " / " << case_name;
+      EXPECT_GT(it->s, 0) << case_name;
+    }
+  }
+  EXPECT_EQ(b.cells.size(), 3 * want.size());
 }
 
 }  // namespace

@@ -36,10 +36,12 @@ class GeneratorInvariants : public ::testing::TestWithParam<std::string> {};
 
 // The loosest upper bound the family's schema promises for edge weights:
 // [min_w, max_w] families bound by max_w, fixed-weight families by the
-// largest weight parameter, geometric by sqrt(2) * scale rounded up.
+// largest weight parameter, geometric by sqrt(2) * scale rounded up, the
+// lb-path gadget by its 2 * len hub edges.
 Weight SchemaWeightCap(const ParamMap& pm) {
   if (pm.Has("max_w")) return pm.GetInt("max_w");
   if (pm.Has("scale")) return 2 * pm.GetInt("scale");
+  if (pm.Has("len")) return 2 * pm.GetInt("len");
   Weight cap = 1;
   for (const char* name : {"w", "chord_w", "spine_w", "leg_w"}) {
     if (pm.Has(name)) cap = std::max<Weight>(cap, pm.GetInt(name));
@@ -101,6 +103,24 @@ TEST(GeneratorRegistryTest, SaltRedrawsRandomFamilies) {
     differs = !(plain.GetEdge(e) == salted.GetEdge(e));
   }
   EXPECT_TRUE(differs);
+}
+
+// The Lemma 3.4 gadget in the spec grammar: terminals 0 and len, a hub at
+// id len + 1, D = 6 and s = len.
+TEST(GeneratorRegistryTest, LbPathIsTheLemma34Gadget) {
+  const Graph g = BuildGenerator("lb-path", ParamList{{"len", "64"}}, 1);
+  const GraphParameters p = ComputeParameters(g);
+  EXPECT_EQ(g.NumNodes(), 66);
+  EXPECT_EQ(p.unweighted_diameter, 6);
+  EXPECT_GE(p.shortest_path_diameter, 64);
+  const Workload w = ExpandString(
+      "generate lb-path len=64 as gadget\n"
+      "ic ends\n"
+      "terminal 0 1\n"
+      "terminal 64 1\n");
+  ASSERT_EQ(w.cases.size(), 1u);
+  EXPECT_EQ(w.cases[0].graph.NumNodes(), 66);
+  EXPECT_EQ(w.cases[0].instances[0].ic.NumTerminals(), 2);
 }
 
 TEST(GeneratorRegistryTest, RejectsBadParams) {
