@@ -20,10 +20,9 @@
 // Derived programs implement OnTreeReady / OnAppRound / OnCtrl.
 #pragma once
 
-#include <deque>
-#include <optional>
-#include <set>
-#include <unordered_set>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -34,6 +33,38 @@ namespace dsf {
 // Control message opcodes (first field of a kChCtrl message).
 enum CtrlOp : std::int64_t {
   kCtrlFinish = -1,  // global termination; forwarded, then node completes
+};
+
+// Vector-backed FIFO for the per-node protocol queues. A head cursor walks
+// the buffer; the buffer is reset to empty (capacity kept) when the cursor
+// drains it and compacted once the consumed prefix is at least half of it,
+// so a queue that never fully drains still holds O(live) entries. Steady
+// state allocates nothing: no per-queue block or map, no per-element node.
+template <typename T>
+class FlatFifo {
+ public:
+  void push_back(T v) { buf_.push_back(std::move(v)); }
+  [[nodiscard]] T& front() noexcept { return buf_[head_]; }
+  [[nodiscard]] bool empty() const noexcept { return head_ == buf_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return buf_.size() - head_; }
+  void pop_front() {
+    ++head_;
+    if (head_ == buf_.size()) {
+      clear();
+    } else if (head_ >= kCompactMin && 2 * head_ >= buf_.size()) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+  void clear() noexcept {
+    buf_.clear();
+    head_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCompactMin = 64;
+  std::vector<T> buf_;
+  std::size_t head_ = 0;
 };
 
 class TreeProgramBase : public NodeProgram {
@@ -153,7 +184,7 @@ class TreeProgramBase : public NodeProgram {
   long reported_last_activity_ = -2;  // last value sent to parent
 
   // Control broadcast state: FIFO of messages to forward to children.
-  std::deque<Message> ctrl_queue_;
+  FlatFifo<Message> ctrl_queue_;
 };
 
 // Pipelined convergecast of items toward the BFS root with subtree-completion
@@ -201,7 +232,9 @@ class CollectPipeline {
 
  private:
   int channel_ = kChApp;
-  std::deque<FieldList> queue_;  // inline payloads: relaying allocates nothing
+  // Payloads are inline FieldLists, so the buffer is the only allocation and
+  // it is reused once it has grown to the node's peak backlog.
+  FlatFifo<FieldList> queue_;
   bool own_done_ = false;
   bool done_sent_ = false;
   int children_pending_ = 0;
@@ -212,13 +245,15 @@ class CollectPipeline {
 // sends. The queue stores only keys; the owner supplies the payload at send
 // time, so a key that is re-improved while queued is sent with its freshest
 // value exactly once.
+//
+// Storage is flat and reused: a key gets a dense per-node slot the first
+// time it is enqueued (an open-addressing table over IdHash), each edge
+// queues slots in a FlatFifo, and membership is one bit per (slot, edge) in
+// a slot-major row of ceil(degree/64) words. No per-key or per-queue node is
+// ever allocated; buffers grow to the node's peak and stay there.
 class KeyedEdgeQueues {
  public:
-  void Configure(int degree) {
-    queue_.assign(static_cast<std::size_t>(degree), {});
-    queued_.assign(static_cast<std::size_t>(degree), {});
-    pending_ = 0;
-  }
+  void Configure(int degree);
 
   // Enqueues `key` on every edge except `except_local` (pass -1 for none);
   // a key already queued on an edge is not duplicated.
@@ -233,13 +268,21 @@ class KeyedEdgeQueues {
   [[nodiscard]] bool HasPending() const noexcept { return pending_ > 0; }
 
  private:
-  std::vector<std::deque<NodeId>> queue_;
-  // Membership dedup per edge; only insert/erase/lookup, so the container's
-  // iteration order is irrelevant to the run. Keys are scrambled through the
-  // shared Mix64 avalanche (common/hash.hpp): node ids arrive in runs of
-  // near-consecutive values, which the identity std::hash<int> would map to
-  // runs of adjacent buckets.
-  std::vector<std::unordered_set<NodeId, IdHash>> queued_;
+  // Open-addressing entry: slot < 0 marks an empty cell.
+  struct SlotEntry {
+    NodeId key = 0;
+    std::int32_t slot = -1;
+  };
+
+  // The key's slot, assigned (with a zeroed membership row) on first sight.
+  std::int32_t SlotOf(NodeId key);
+
+  int degree_ = 0;
+  std::size_t words_ = 0;              // membership words per slot
+  std::vector<SlotEntry> table_;       // power-of-two size, load <= 1/2
+  std::vector<NodeId> slot_key_;       // slot -> key
+  std::vector<std::uint64_t> member_;  // slot-major: bit e = queued on edge e
+  std::vector<FlatFifo<std::int32_t>> edge_;  // per-edge FIFO of slots
   std::size_t pending_ = 0;  // total keys across all edge queues
 };
 

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <set>
+
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 
@@ -341,6 +346,314 @@ TEST(CtrlBroadcastTest, OrderPreservedAndPipelined) {
   }
   // Pipelined: ~#items + 2D rounds, not #items * D.
   EXPECT_LE(stats.rounds, 20 + 4 * 11 + 20);
+}
+
+
+// The KeyedEdgeQueues contract the flooding protocols rely on: per-edge FIFO,
+// no duplicate while pending, re-queue after a pop goes to the back,
+// except_local skipping, budgeted pops, exact HasPending and a full reset.
+TEST(KeyedEdgeQueuesTest, PerEdgeFifoWithDedupAndBudget) {
+  using Keys = std::vector<NodeId>;
+  KeyedEdgeQueues q;
+  Keys out{99};
+  q.EnqueueAll(4, -1);  // before Configure: no edges, nothing queued
+  EXPECT_FALSE(q.HasPending());
+  q.Configure(3);
+  EXPECT_FALSE(q.HasPending());
+  q.PopInto(1, 4, out);
+  EXPECT_TRUE(out.empty());  // cleared even when nothing is queued
+
+  q.EnqueueAll(7, -1);  // -1 skips no edge
+  q.EnqueueAll(3, 1);   // edges 0 and 2
+  q.EnqueueAll(7, -1);  // still pending everywhere: no duplicate
+  q.EnqueueAll(9, 0);   // edges 1 and 2
+  q.EnqueueAll(3, 2);   // pending on 0, new on 1: appended behind 9
+  EXPECT_TRUE(q.HasPending());
+
+  q.PopInto(0, 1, out);  // budget caps the pop, the rest stays queued
+  EXPECT_EQ(out, (Keys{7}));
+  q.PopInto(0, 0, out);
+  EXPECT_TRUE(out.empty());
+  q.PopInto(0, 5, out);
+  EXPECT_EQ(out, (Keys{3}));
+  q.PopInto(1, 2, out);
+  EXPECT_EQ(out, (Keys{7, 9}));
+  EXPECT_TRUE(q.HasPending());
+
+  // 7 was popped from edges 0 and 1 but is still pending on edge 2: it is
+  // re-queued at the back of 0 and 1 only. Edge 1 still holds 3.
+  q.EnqueueAll(7, -1);
+  q.PopInto(1, 5, out);
+  EXPECT_EQ(out, (Keys{3, 7}));
+  q.PopInto(2, 5, out);
+  EXPECT_EQ(out, (Keys{7, 3, 9}));
+  EXPECT_TRUE(q.HasPending());  // edge 0 still holds 7
+  q.PopInto(0, 5, out);
+  EXPECT_EQ(out, (Keys{7}));
+  EXPECT_FALSE(q.HasPending());
+
+  // Drained edges refill in FIFO order.
+  q.EnqueueAll(9, -1);
+  q.EnqueueAll(7, -1);
+  q.PopInto(2, 5, out);
+  EXPECT_EQ(out, (Keys{9, 7}));
+
+  // Configure drops every queued key and membership bit.
+  q.Configure(2);
+  EXPECT_FALSE(q.HasPending());
+  q.PopInto(0, 5, out);
+  EXPECT_TRUE(out.empty());
+  q.EnqueueAll(9, 1);
+  q.PopInto(0, 5, out);
+  EXPECT_EQ(out, (Keys{9}));
+  EXPECT_FALSE(q.HasPending());
+}
+
+// Degree 130: membership spans three 64-bit words, and locals 63/64 and
+// 127/128 sit on either side of the word boundaries.
+TEST(KeyedEdgeQueuesTest, WordBoundaryLocals) {
+  using Keys = std::vector<NodeId>;
+  constexpr int kDegree = 130;
+  KeyedEdgeQueues q;
+  Keys out;
+  q.Configure(kDegree);
+  const std::vector<int> edges = {0, 63, 64, 127, 128, 129};
+  for (const int except : edges) q.EnqueueAll(1000 + except, except);
+  q.EnqueueAll(5, -1);
+  q.EnqueueAll(1000 + 64, 63);  // pending on every edge but 64 and 63
+  for (const int e : edges) {
+    Keys expect;
+    for (const int except : edges) {
+      if (except != e) expect.push_back(1000 + except);
+    }
+    expect.push_back(5);
+    if (e == 64) expect.push_back(1000 + 64);  // 63 is skipped
+    q.PopInto(e, kDegree, out);
+    EXPECT_EQ(out, expect) << "edge " << e;
+  }
+  // Untouched edges hold every key once, in first-enqueue order.
+  q.PopInto(1, kDegree, out);
+  EXPECT_EQ(out.size(), edges.size() + 1);
+  // Pops on one side of a boundary leave the neighbour's bit alone.
+  q.EnqueueAll(5, -1);
+  for (const int e : edges) {
+    q.PopInto(e, 1, out);
+    EXPECT_EQ(out, (Keys{5})) << "edge " << e;
+  }
+  for (int e = 0; e < kDegree; ++e) {
+    q.PopInto(e, kDegree, out);
+    if (e == 1) {
+      EXPECT_EQ(out, (Keys{5}));
+    } else if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
+      EXPECT_EQ(out.size(), edges.size() + 1) << "edge " << e;
+    }
+  }
+  EXPECT_FALSE(q.HasPending());
+}
+
+// Randomized differential check against a direct per-edge deque + set model
+// of the contract, across several degrees and reconfigurations.
+TEST(KeyedEdgeQueuesTest, MatchesReferenceModel) {
+  SplitMix64 rng(17);
+  KeyedEdgeQueues q;
+  std::vector<NodeId> out;
+  for (const int degree : {1, 2, 5, 64, 65, 130}) {
+    q.Configure(degree);
+    std::vector<std::deque<NodeId>> model(static_cast<std::size_t>(degree));
+    std::vector<std::set<NodeId>> member(static_cast<std::size_t>(degree));
+    std::size_t pending = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (rng.NextBelow(3) != 0) {
+        const auto key = static_cast<NodeId>(rng.NextBelow(300));
+        const int except =
+            static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(degree) + 1)) - 1;
+        q.EnqueueAll(key, except);
+        for (int e = 0; e < degree; ++e) {
+          const auto ue = static_cast<std::size_t>(e);
+          if (e != except && member[ue].insert(key).second) {
+            model[ue].push_back(key);
+            ++pending;
+          }
+        }
+      } else {
+        const int e = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(degree)));
+        const int budget = static_cast<int>(rng.NextBelow(4));
+        q.PopInto(e, budget, out);
+        std::vector<NodeId> expect;
+        auto& mq = model[static_cast<std::size_t>(e)];
+        for (int b = 0; b < budget && !mq.empty(); ++b) {
+          expect.push_back(mq.front());
+          member[static_cast<std::size_t>(e)].erase(mq.front());
+          mq.pop_front();
+          --pending;
+        }
+        ASSERT_EQ(out, expect) << "degree " << degree << " step " << step;
+      }
+      ASSERT_EQ(q.HasPending(), pending > 0) << "degree " << degree;
+    }
+  }
+}
+
+// CollectPipeline FIFO across drain-then-refill: every node seeds in bursts
+// while relaying its subtree, so its queue repeatedly empties and refills.
+// Each node logs what it queued (own seeds and relays, in queue order); its
+// parent logs what arrived from it. The two logs must match exactly.
+TEST(CollectPipelineTest, FifoAcrossDrainAndRefill) {
+  using Item = std::vector<std::int64_t>;
+  class BurstCollectProgram : public TreeProgramBase {
+   public:
+    explicit BurstCollectProgram(NodeId id) : TreeProgramBase(id) {}
+    std::vector<Item> queued;                    // push order at this node
+    std::map<NodeId, std::vector<Item>> arrived;  // per child, arrival order
+    std::vector<Item> collected;                 // root only
+
+   protected:
+    void OnTreeReady(NodeApi& api) override {
+      pipe_.Configure(kChApp, static_cast<int>(ChildLocals().size()));
+      ready_round_ = api.Round();
+    }
+    void OnAppRound(NodeApi& api) override {
+      for (const auto& d : api.Inbox()) {
+        if (d.msg.channel != kChApp) continue;
+        if (d.msg.fields[0] != CollectPipeline::kDoneSentinel) {
+          arrived[d.from_node].push_back(d.msg.fields);
+          if (!IsRoot()) queued.push_back(d.msg.fields);
+        }
+        pipe_.OnReceive(d.msg, IsRoot(), &collected);
+      }
+      const long k = api.Round() - ready_round_;
+      int burst = 0;
+      if (k == 0) burst = 3;
+      if (k == 3 || k == 9 || k == 10) burst = 1;
+      if (k == 4) burst = 2;
+      for (int b = 0; b < burst; ++b) {
+        const Item item = {Id(), seq_++};
+        if (!IsRoot()) queued.push_back(item);
+        pipe_.Seed(item);
+      }
+      if (k == 12) pipe_.MarkOwnDone();
+      pipe_.Tick(api, ParentLocal(), IsRoot() ? &collected : nullptr);
+      if (IsRoot() && pipe_.Complete() && !finished_) {
+        finished_ = true;
+        Finish();
+      }
+    }
+
+   private:
+    CollectPipeline pipe_;
+    long ready_round_ = -1;
+    std::int64_t seq_ = 0;
+    bool finished_ = false;
+  };
+  for (const bool star : {false, true}) {
+    const Graph g = star ? MakeStar(6) : MakePath(6);
+    const auto params = ComputeParameters(g);
+    StaticKnowledge known;
+    known.n = g.NumNodes();
+    known.diameter_bound = params.unweighted_diameter;
+    known.spd_bound = params.shortest_path_diameter;
+    Network net(g, known, 3);
+    net.Start([](NodeId v) { return std::make_unique<BurstCollectProgram>(v); });
+    ASSERT_FALSE(net.Run(2000).hit_round_limit);
+    std::map<NodeId, std::vector<Item>> sent;  // child -> what its parent saw
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      const auto& p = dynamic_cast<BurstCollectProgram&>(net.ProgramAt(v));
+      for (const auto& [child, items] : p.arrived) sent[child] = items;
+    }
+    std::size_t total = 0;
+    for (NodeId v = 0; v + 1 < g.NumNodes(); ++v) {
+      const auto& p = dynamic_cast<BurstCollectProgram&>(net.ProgramAt(v));
+      EXPECT_EQ(sent[v], p.queued) << "node " << v << " star " << star;
+    }
+    const auto& root = dynamic_cast<BurstCollectProgram&>(
+        net.ProgramAt(g.NumNodes() - 1));
+    std::map<std::int64_t, std::int64_t> next_seq;
+    for (const auto& item : root.collected) {
+      EXPECT_EQ(item[1], next_seq[item[0]]++) << "origin " << item[0];
+      ++total;
+    }
+    EXPECT_EQ(total, static_cast<std::size_t>(8 * g.NumNodes()));
+  }
+}
+
+// Control broadcasts across drain-then-refill: the root queues bursts both
+// while its queue is non-empty and right after it drained, and every node
+// checks that CtrlBacklog() is exactly the number of messages it holds
+// (received or issued, minus delivered) — randomized.cpp sizes its
+// connect round from that count.
+TEST(CtrlBroadcastTest, DrainThenRefillKeepsOrderAndBacklog) {
+  class RefillProgram : public TreeProgramBase {
+   public:
+    explicit RefillProgram(NodeId id) : TreeProgramBase(id) {}
+    std::vector<std::int64_t> delivered;
+    std::size_t in_ = 0;      // messages this node queued
+    std::size_t out_ = 0;     // OnCtrl calls, FINISH included
+    bool backlog_ok = true;
+    int refills_after_drain = 0;
+
+   protected:
+    void OnCtrl(NodeApi& api, const Message& msg) override {
+      (void)api;
+      ++out_;
+      if (msg.fields[0] != kCtrlFinish) delivered.push_back(msg.fields[0]);
+    }
+    void OnAppRound(NodeApi& api) override {
+      if (!IsRoot()) {
+        // HandleCtrl queued this round's arrivals; one was then delivered.
+        for (const auto& d : api.Inbox()) {
+          if (d.msg.channel == kChCtrl) ++in_;
+        }
+        if (CtrlBacklog() != in_ - out_) backlog_ok = false;
+        return;
+      }
+      if (CtrlBacklog() != in_ - out_) backlog_ok = false;
+      if (finished_) return;
+      int burst = 0;
+      if (round_ == 0) burst = 3;
+      if (round_ > 0 && CtrlBacklog() == 0) {
+        burst = refills_after_drain < 2 ? 2 : 1;
+        ++refills_after_drain;
+      }
+      if (round_ == 1) burst = 2;  // pushed while the queue is non-empty
+      for (int b = 0; b < burst; ++b) Push();
+      if (refills_after_drain == 3) {
+        finished_ = true;
+        Finish();
+        ++in_;
+      }
+      if (CtrlBacklog() != in_ - out_) backlog_ok = false;
+      ++round_;
+    }
+
+   private:
+    void Push() {
+      BroadcastCtrl(Message{kChCtrl, {next_++}});
+      ++in_;
+    }
+    int round_ = 0;
+    std::int64_t next_ = 500;
+    bool finished_ = false;
+  };
+  const Graph g = MakePath(7);
+  StaticKnowledge known;
+  known.n = 7;
+  known.diameter_bound = 6;
+  known.spd_bound = 6;
+  Network net(g, known, 1);
+  net.Start([](NodeId v) { return std::make_unique<RefillProgram>(v); });
+  ASSERT_FALSE(net.Run(2000).hit_round_limit);
+  std::vector<std::int64_t> expect;
+  for (std::int64_t i = 500; i < 500 + 3 + 2 + 2 + 2 + 1; ++i) {
+    expect.push_back(i);
+  }
+  for (NodeId v = 0; v < 7; ++v) {
+    const auto& p = dynamic_cast<RefillProgram&>(net.ProgramAt(v));
+    EXPECT_EQ(p.delivered, expect) << "node " << v;
+    EXPECT_TRUE(p.backlog_ok) << "node " << v;
+    EXPECT_EQ(p.in_, p.out_) << "node " << v;  // drained at termination
+  }
+  EXPECT_EQ(dynamic_cast<RefillProgram&>(net.ProgramAt(6)).refills_after_drain,
+            3);
 }
 
 }  // namespace
