@@ -4,8 +4,8 @@
 //      min{s,√n} term of Theorem 5.2): truncated vs. full virtual tree on
 //      high-s graphs. Expectation: rounds drop substantially with pruning,
 //      at equal feasibility.
-// A2 — repetition amplification (paper: c·log n repetitions + min): weight
-//      as a function of repetitions at linearly growing round cost.
+// A2 — repetition amplification lives in scenarios/paper/approx.dsf-suite
+//      (dist-rand(reps=1|2|4|8) cells; bench/SUITE_approx.json).
 // A3 — the moat algorithm's µ̂ rounding (Algorithm 2) as a rounds/quality
 //      knob, measured against the distributed Borůvka MST on the t = n
 //      special case (three independent protocols, one answer).
@@ -57,28 +57,6 @@ BENCHMARK(BM_LePruningAblation)
     ->Arg(4)
     ->Arg(8)
     ->Arg(16)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RepetitionAblation(benchmark::State& state) {
-  const int reps = static_cast<int>(state.range(0));
-  SplitMix64 rng(7);
-  const Graph g = MakeConnectedRandom(24, 0.15, 1, 30, rng);
-  SplitMix64 trng(3);
-  const IcInstance ic = bench::SpreadComponents(24, 3, trng);
-  for (auto _ : state) {
-    RandomizedOptions opt;
-    opt.repetitions = reps;
-    const auto res = RunRandomizedSteinerForest(g, ic, opt, 17);
-    state.counters["weight"] = static_cast<double>(g.WeightOf(res.forest));
-    state.counters["rounds"] = static_cast<double>(res.stats.rounds);
-  }
-}
-BENCHMARK(BM_RepetitionAblation)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,9 @@
-// Shared helpers for the benchmark suite. The bench binaries cover the
-// DESIGN.md §6 rows not folded into the paper manifest
-// (scenarios/paper/); results are exposed as benchmark counters (rounds,
-// ratios, phases, bits) — the quantities the paper's theorems bound.
+// Shared helpers for the benchmark binaries. They cover the DESIGN.md §6
+// rows that are not solver runs of `dsf suite` (the paper manifests in
+// scenarios/paper/ hold E1–E5, E7, E10, E11 and A2): embedding stretch,
+// cut bits, pruning, the input transforms, and the A1/A3 ablations.
+// Results are exposed as benchmark counters (rounds, ratios, phases,
+// bits) — the quantities the paper's theorems bound.
 #pragma once
 
 #include <benchmark/benchmark.h>

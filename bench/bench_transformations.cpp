@@ -1,4 +1,4 @@
-// E11 — Lemmas 2.3 / 2.4: the distributed input transformations run in
+// Lemmas 2.3 / 2.4 — the distributed input transformations run in
 // O(t + D) resp. O(k + D) rounds. Measured: rounds as t (resp. k) grows on
 // a fixed-diameter graph; `rounds_per_t` / `rounds_per_k` flattening out is
 // the linear-in-parameter shape the lemmas claim.

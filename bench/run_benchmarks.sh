@@ -1,21 +1,24 @@
 #!/usr/bin/env sh
 # Records the performance trajectory: runs bench_simulator, the batch-
 # engine throughput sweep, and the service-layer load generator with JSON
-# output so successive commits can be compared, then gates the suite wall
-# and the paper's round experiments against their committed baselines.
+# output so successive commits can be compared, asserts the serve, router
+# and portfolio acceptance ratios on the fresh JSON
+# (bench/check_acceptance.py), then gates the suite wall and the paper's
+# round and quality experiments against their committed baselines.
 #
 #   bench/run_benchmarks.sh [build_dir] [out_dir]
 #
 # Defaults: build_dir = build, out_dir = build_dir. Writes
 # BENCH_simulator.json, BENCH_batch.json, BENCH_serve.json,
-# BENCH_router.json, BENCH_portfolio.json, SUITE_fresh.json and
-# SUITE_paper_fresh.json into out_dir. Refuses to run against a
-# non-Release build.
+# BENCH_router.json, BENCH_portfolio.json, SUITE_fresh.json,
+# SUITE_paper_fresh.json and SUITE_approx_fresh.json into out_dir. Refuses
+# to run against a non-Release build. Needs python3 (JSON stamping and the
+# acceptance ratios).
 #
-# Fails loudly: a missing binary, a crashing benchmark, or a run that
-# produces empty/truncated JSON all abort with a nonzero exit and a
-# message naming the culprit — a silent half-finished BENCH_*.json would
-# otherwise poison cross-commit comparisons.
+# Fails loudly: a missing binary, a crashing benchmark, a run that
+# produces empty/truncated JSON, or a missed acceptance ratio all abort with
+# a nonzero exit and a message naming the culprit — a silent half-finished
+# BENCH_*.json would otherwise poison cross-commit comparisons.
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -29,6 +32,12 @@ mkdir -p "$OUT_DIR"
 if ! grep -q '^CMAKE_BUILD_TYPE:[^=]*=Release$' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null; then
   echo "error: $BUILD_DIR is not a Release build (CMAKE_BUILD_TYPE must be" \
        "Release; configure with cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release)" >&2
+  exit 1
+fi
+
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "error: python3 not found (needed to stamp the JSON and assert the" \
+       "acceptance ratios)" >&2
   exit 1
 fi
 
@@ -65,8 +74,7 @@ run_bench() {
   # compiled (the distro package ships a debug build), so stamp the dsf
   # build type — guaranteed Release by the gate above — explicitly, plus
   # the cores this process may run on (what `nproc` prints).
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$out_json" <<'PYEOF'
+  python3 - "$out_json" <<'PYEOF'
 import json, os, sys
 path = sys.argv[1]
 with open(path) as f:
@@ -78,7 +86,6 @@ with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 PYEOF
-  fi
 }
 
 run_bench bench_simulator "$OUT_DIR/BENCH_simulator.json"
@@ -103,6 +110,15 @@ run_bench bench_router "$OUT_DIR/BENCH_router.json" \
 # beat the best single solver's p95 by >= 1.3x at width 4, and mode=all
 # must never cost more than the best roster member (DESIGN.md §3).
 run_bench bench_portfolio "$OUT_DIR/BENCH_portfolio.json"
+
+# The acceptance ratios the comments above state: serve hit >= 10x, revise
+# p95 >= 2x at cost <= 1.05, portfolio p95 >= 1.3x (at nproc >= 4), and
+# errors == 0 on every serve and router series.
+echo "checking acceptance ratios in $OUT_DIR" >&2
+if ! python3 "$(dirname "$0")/check_acceptance.py" "$OUT_DIR"; then
+  echo "error: an acceptance ratio failed; see the FAIL lines above" >&2
+  exit 1
+fi
 
 # The suite wall: the committed bench/SUITE_baseline.json must still match
 # a fresh run of the quality/latency matrix (dsf suite --check, DESIGN.md
@@ -135,7 +151,20 @@ if ! "$BUILD_DIR/dsf" suite --manifest scenarios/paper/manifest.dsf-suite \
   exit 1
 fi
 
+# The paper's quality experiments (DESIGN.md §6 rows E1/E2, E5, E10, E11,
+# A2): cost against the exact optimum per ε and per repetition count.
+echo "running dsf suite --check against bench/SUITE_approx.json" >&2
+if ! "$BUILD_DIR/dsf" suite --manifest scenarios/paper/approx.dsf-suite \
+    --baseline bench/SUITE_approx.json --check \
+    --out "$OUT_DIR/SUITE_approx_fresh.json"; then
+  echo "error: the approx baseline is stale; inspect" \
+       "$OUT_DIR/SUITE_approx_fresh.json and re-record deliberately with:" \
+       "$BUILD_DIR/dsf suite --manifest scenarios/paper/approx.dsf-suite" \
+       "--baseline bench/SUITE_approx.json --record" >&2
+  exit 1
+fi
+
 echo "wrote $OUT_DIR/BENCH_simulator.json, $OUT_DIR/BENCH_batch.json," \
      "$OUT_DIR/BENCH_serve.json, $OUT_DIR/BENCH_router.json," \
      "$OUT_DIR/BENCH_portfolio.json, $OUT_DIR/SUITE_fresh.json," \
-     "and $OUT_DIR/SUITE_paper_fresh.json"
+     "$OUT_DIR/SUITE_paper_fresh.json and $OUT_DIR/SUITE_approx_fresh.json"

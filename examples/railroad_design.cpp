@@ -65,17 +65,16 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12lld %10s\n", "naive shortest-path trees",
               static_cast<long long>(terrain.WeightOf(naive)), "-");
 
-  SolveOptions opt;
-  opt.repetitions = 3;  // dist-rand amplification
   bool ok = IsFeasible(terrain, instance, naive);
   const struct { const char* solver; const char* caption; } plans[] = {
       {"mst-prune", "pruned MST baseline"},
       {"dist-det", "moat growing (det, factor 2)"},
-      {"dist-rand", "tree embedding (rand, O(log n))"},
+      {"dist-rand(reps=3)", "tree embedding (rand, O(log n))"},
   };
   for (const auto& plan : plans) {
-    const SolveResult res = Solve(plan.solver, terrain, instance, opt, 7);
-    if (SolverRegistry::Get(plan.solver).Distributed()) {
+    const SolveResult res = Solve(plan.solver, terrain, instance, {}, 7);
+    if (SolverRegistry::Get(ParseSolverSpec(plan.solver).base)
+            .Distributed()) {
       std::printf("%-34s %12lld %10ld\n", plan.caption,
                   static_cast<long long>(res.weight), res.stats.rounds);
     } else {

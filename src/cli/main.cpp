@@ -15,8 +15,8 @@
 // manifest-driven corpus, per-solver baselines, and regression gating.
 //
 //   dsf --scenario FILE [--solvers all|spec,spec,...] [--seed N]
-//       [--threads N] [--epsilon X] [--repetitions N] [--deadline-ms N]
-//       [--reference] [--no-prune] [--json FILE]
+//       [--threads N] [--deadline-ms N] [--reference] [--no-prune]
+//       [--json FILE]
 //   dsf serve [--port N] [--host A] [--threads N] [--cache N]
 //       [--batch-max N] [--max-pending N] [--deadline-ms N]
 //       [--send-timeout-ms N] [--recv-timeout-ms N] [--fault SPEC]
@@ -25,8 +25,8 @@
 //       [--probe-interval-ms N] [--hot-cache N] [--fault SPEC]
 //   dsf client (--scenario FILE | --generate SPEC [--instance SPEC]
 //       | --stats | --ping) [--port N] [--host A] [--solvers LIST]
-//       [--seed N] [--epsilon X] [--repetitions N] [--deadline-ms N]
-//       [--no-prune] [--repeat N] [--retries N] [--backoff-ms N]
+//       [--seed N] [--deadline-ms N] [--no-prune] [--repeat N]
+//       [--retries N] [--backoff-ms N]
 //       [--json FILE] [--revise KEY [--delta SPEC] [--revise-mode M]]
 //   dsf suite [--manifest FILE] [--baseline FILE] [--record | --check]
 //       [--out FILE] [--threads N] [--emit-corpus DIR]
@@ -69,8 +69,6 @@ struct CliArgs {
   std::uint64_t seed = 0;
   bool seed_set = false;  // --seed given: overrides the scenario-level seed
   int threads = 1;
-  Real epsilon = 0.0L;
-  int repetitions = 1;
   int deadline_ms = 0;  // anytime per-unit deadline; 0 = none
   bool reference = false;
   bool prune = true;
@@ -103,17 +101,16 @@ void PrintUsage(std::FILE* out) {
                " (default when\n"
                "                      the scenario has no 'as' directive);"
                " a spec is a\n"
-               "                      registry name or portfolio(roster="
-               "a+b+c,mode=all|first\n"
-               "                      [,deadline_ms=N])\n"
+               "                      registry name, gw-moat(eps=X),"
+               " dist-det(eps=X),\n"
+               "                      dist-rand(reps=N), or portfolio("
+               "roster=a+b+c,\n"
+               "                      mode=all|first[,deadline_ms=N])\n"
                "  --seed N            overrides the scenario-level seed"
                " (workload expansion\n"
                "                      and request master seed)\n"
                "  --threads N         batch executors (0 = hardware"
                " concurrency)\n"
-               "  --epsilon X         Algorithm 2 epsilon for the moat"
-               " solvers\n"
-               "  --repetitions N     dist-rand repetitions\n"
                "  --deadline-ms N     anytime deadline per unit: return the"
                " best feasible\n"
                "                      forest found within N wall ms\n"
@@ -160,8 +157,8 @@ bool ParseU64(const char* flag, const char* v, std::uint64_t& out,
   return true;
 }
 
-bool ParseReal(const char* flag, const char* v, Real& out,
-               std::string& error) {
+bool ParseDouble(const char* flag, const char* v, double& out,
+                 std::string& error) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(v, &end);
@@ -169,7 +166,7 @@ bool ParseReal(const char* flag, const char* v, Real& out,
     error = std::string("invalid value for ") + flag + ": '" + v + "'";
     return false;
   }
-  out = static_cast<Real>(value);
+  out = value;
   return true;
 }
 
@@ -221,22 +218,6 @@ bool ParseArgs(int argc, char** argv, CliArgs& args, std::string& error) {
         return false;
       }
       args.threads = static_cast<int>(threads);
-    } else if (flag == "--epsilon") {
-      const char* v = need_value(i);
-      if (!v || !ParseReal("--epsilon", v, args.epsilon, error)) return false;
-      if (args.epsilon < 0.0L) {
-        error = "--epsilon must be >= 0";
-        return false;
-      }
-    } else if (flag == "--repetitions") {
-      const char* v = need_value(i);
-      long long reps = 0;
-      if (!v || !ParseI64("--repetitions", v, reps, error)) return false;
-      if (reps < 1 || reps > 1 << 20) {
-        error = "--repetitions must be in [1, 1048576]";
-        return false;
-      }
-      args.repetitions = static_cast<int>(reps);
     } else if (flag == "--deadline-ms") {
       const char* v = need_value(i);
       long long ms = 0;
@@ -338,8 +319,6 @@ int RunCli(const CliArgs& args) {
   }
 
   SolveOptions base;
-  base.epsilon = args.epsilon;
-  base.repetitions = args.repetitions;
   base.prune = args.prune;
   base.validate = true;
   base.deadline_ms = args.deadline_ms;
@@ -542,11 +521,10 @@ void PrintClientUsage(std::FILE* out) {
                "                    separated, default empty\n"
                "  --revise-mode M   warm (default) | exact-match\n"
                "  --solvers LIST    comma-separated solver specs (default"
-               " all; portfolio(...)\n"
-               "                    specs allowed)\n"
+               " all; parameterized\n"
+               "                    specs such as dist-det(eps=0.5)"
+               " allowed)\n"
                "  --seed N          spec-level seed override (>= 1)\n"
-               "  --epsilon X       Algorithm 2 epsilon\n"
-               "  --repetitions N   dist-rand repetitions\n"
                "  --deadline-ms N   per-unit anytime deadline forwarded to"
                " the server\n"
                "  --no-prune        skip minimal-subforest pruning\n"
@@ -746,23 +724,6 @@ int RunClientCommand(int argc, char** argv) {
         break;
       }
       args.seed_set = true;
-    } else if (flag == "--epsilon") {
-      const char* v = need_value();
-      Real eps = 0.0L;
-      if (!v || !ParseReal("--epsilon", v, eps, error)) break;
-      if (eps < 0.0L) {
-        error = "--epsilon must be >= 0";
-        break;
-      }
-      args.epsilon = static_cast<double>(eps);
-    } else if (flag == "--repetitions") {
-      const char* v = need_value();
-      if (!v || !ParseI64("--repetitions", v, value, error)) break;
-      if (value < 1 || value > 1 << 20) {
-        error = "--repetitions must be in [1, 1048576]";
-        break;
-      }
-      args.repetitions = static_cast<int>(value);
     } else if (flag == "--deadline-ms") {
       const char* v = need_value();
       if (!v || !ParseI64("--deadline-ms", v, value, error)) break;
@@ -1125,13 +1086,13 @@ int RunSuiteCommand(int argc, char** argv) {
       run_options.inject_cost_delta = value;
     } else if (flag == "--inject-p95-ms") {
       const char* v = need_value();
-      Real ms = 0.0L;
-      if (!v || !ParseReal("--inject-p95-ms", v, ms, error)) break;
-      if (ms < 0.0L) {
+      double ms = 0.0;
+      if (!v || !ParseDouble("--inject-p95-ms", v, ms, error)) break;
+      if (ms < 0.0) {
         error = "--inject-p95-ms must be >= 0";
         break;
       }
-      run_options.inject_p95_ms = static_cast<double>(ms);
+      run_options.inject_p95_ms = ms;
     } else {
       error = "unknown flag: " + flag;
       break;

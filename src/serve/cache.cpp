@@ -1,7 +1,6 @@
 #include "serve/cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -56,15 +55,10 @@ void HashUnitInto(Fnv1a& h, const SolveRequest& request, std::uint64_t seed) {
   h.Byte(kTagSolver);
   h.Bytes(request.solver);
   h.Byte(kTagOptions);
-  // Hash epsilon at double precision: the CLI and the wire protocol both
-  // take it as a double, so canonically-equal requests agree at this width.
-  const double eps = static_cast<double>(request.options.epsilon);
-  h.U64(std::bit_cast<std::uint64_t>(eps));
-  h.I64(request.options.repetitions);
   h.Byte(request.options.prune ? 1 : 0);
   // Deadline-truncated units must never share entries with unbounded runs
-  // of the same spec (the roster/mode knobs are already covered by the
-  // canonical solver string above).
+  // of the same spec (every solver parameter — ε, repetitions, roster,
+  // mode — is already covered by the canonical solver string above).
   h.I64(request.options.deadline_ms);
   h.Byte(kTagSeed);
   h.U64(seed);

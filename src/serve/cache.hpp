@@ -62,9 +62,10 @@ struct CacheKeyHash {
 // The canonical key of one unit of solver work. `seed` is the *final*
 // per-unit seed (after any master-seed derivation) — the value the solver
 // core actually consumes — so batch position and request framing cannot
-// split identical computations into distinct keys. Options fold in every
-// knob that changes the output (epsilon, repetitions, prune); validate and
-// reference accounting do not alter the forest and are excluded.
+// split identical computations into distinct keys. The canonical solver
+// string carries every solver parameter; options fold in the pipeline knobs
+// that change the output (prune, deadline); validate and reference
+// accounting do not alter the forest and are excluded.
 [[nodiscard]] CacheKey CanonicalHash(const CacheKey& graph, const SolveRequest& request,
                                      std::uint64_t seed);
 

@@ -203,16 +203,6 @@ std::string BuildClientRequest(const ClientArgs& args) {
       json.Key("seed");
       json.UInt(args.seed);
     }
-    if (args.epsilon > 0.0) {
-      json.Key("epsilon");
-      // Full precision: the server's solve must see the same double the
-      // one-shot CLI would parse from the same --epsilon string.
-      json.DoubleExact(args.epsilon);
-    }
-    if (args.repetitions != 1) {
-      json.Key("repetitions");
-      json.Int(args.repetitions);
-    }
     if (args.deadline_ms > 0) {
       json.Key("deadline_ms");
       json.Int(args.deadline_ms);

@@ -73,8 +73,6 @@ struct ClientArgs {
   std::string solvers;   // comma list of solver specs; empty = all
   std::uint64_t seed = 0;
   bool seed_set = false;
-  double epsilon = 0.0;
-  int repetitions = 1;
   int deadline_ms = 0;   // per-unit anytime deadline passed to the server
   bool prune = true;
   int repeat = 1;        // send the same solve N times (duplicate burst)

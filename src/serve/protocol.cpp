@@ -178,20 +178,23 @@ SolvePlan ParseSolve(const ServeContext& ctx, const JsonValue& req,
     }
   }
   for (std::string& name : plan.solvers) {
-    // Canonicalize before hashing: every spelling of the same portfolio
-    // configuration must land on the same cache key.
-    std::string why;
-    if (!IsValidSolverSpec(name, &why)) throw std::runtime_error(why);
+    // Canonicalize before hashing: every spelling of the same configuration
+    // must land on the same cache key. Throws the spec parser's message.
     name = ParseSolverSpec(name).Canonical();
   }
 
-  const double epsilon = req.GetNumber("epsilon", 0.0);
-  if (!(epsilon >= 0.0) || epsilon > 64.0) {
-    throw std::runtime_error("'epsilon' must be in [0, 64]");
+  // Retired side channels: ignoring them as unknown keys would silently
+  // answer with the default parameters.
+  if (req.Find("epsilon") != nullptr) {
+    throw std::runtime_error(
+        "'epsilon' is not a request field; name it in the solver spec, e.g. "
+        "\"solvers\":[\"dist-det(eps=0.5)\",\"gw-moat(eps=0.5)\"]");
   }
-  plan.options.epsilon = static_cast<Real>(epsilon);
-  plan.options.repetitions = static_cast<int>(
-      GetInteger(req, "repetitions", 1, 1 << 20).value_or(1));
+  if (req.Find("repetitions") != nullptr) {
+    throw std::runtime_error(
+        "'repetitions' is not a request field; name it in the solver spec, "
+        "e.g. \"solvers\":[\"dist-rand(reps=4)\"]");
+  }
   plan.options.prune = req.GetBool("prune", true);
   plan.options.validate = true;
   // Anytime deadline: tightest of the request's ask and the server-wide cap

@@ -13,14 +13,18 @@
 //                                      "<sampler> [k=v ...]" instance draw
 //                                      (default "random-ic k=2 tpc=2"),
 //    "solvers":[STR...]?             — solver specs (names or
-//                                      portfolio(...) forms, canonicalized
+//                                      parameterized forms such as
+//                                      dist-det(eps=0.5), dist-rand(reps=4)
+//                                      or portfolio(...), canonicalized
 //                                      server-side); default: the spec's
 //                                      `as` directive, else every
 //                                      registered solver,
 //    "seed":N?                       — overrides the spec-level seed (>= 1),
 //    "deadline_ms":N?                — per-unit anytime deadline, capped by
 //                                      the server's --deadline-ms,
-//    "epsilon":X?, "repetitions":N?, "prune":BOOL?}
+//    "prune":BOOL?}
+//   A request carrying "epsilon" or "repetitions" is rejected with an error
+//   naming the spec form: those parameters live in the solver spec.
 //   {"op":"revise", "id":STR?,
 //    ...solve fields...              — base instance framing; must expand to
 //                                      exactly one case x instance x solver

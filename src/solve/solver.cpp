@@ -52,7 +52,7 @@ class GwMoatSolver final : public Solver {
                             const SolveOptions& options,
                             std::uint64_t) const override {
     MoatOptions mopt;
-    mopt.epsilon = options.epsilon;
+    mopt.epsilon = static_cast<Real>(options.spec.epsilon);
     mopt.cancel = options.cancel;
     auto res = CentralizedMoatGrowing(g, ic, mopt);
     SolverOutput out;
@@ -147,7 +147,7 @@ class DistDetSolver final : public Solver {
                             const SolveOptions& options,
                             std::uint64_t seed) const override {
     DetMoatOptions dopt;
-    dopt.epsilon = options.epsilon;
+    dopt.epsilon = static_cast<Real>(options.spec.epsilon);
     dopt.net = options.net;
     auto res = RunDistributedMoat(g, ic, dopt, seed);
     SolverOutput out;
@@ -170,7 +170,7 @@ class DistRandSolver final : public Solver {
                             const SolveOptions& options,
                             std::uint64_t seed) const override {
     RandomizedOptions ropt;
-    ropt.repetitions = options.repetitions;
+    ropt.repetitions = options.spec.repetitions;
     ropt.net = options.net;
     auto res = RunRandomizedSteinerForest(g, ic, ropt, seed);
     SolverOutput out;
@@ -250,7 +250,8 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
                                            std::uint64_t seed) const {
   // Resolve the roster — already canonicalized when the request came
   // through the pipeline's spec parser; defaulted here for direct calls.
-  std::vector<std::string> roster = options.roster;
+  std::vector<std::string> roster = options.spec.roster;
+  const bool race_first = options.spec.mode == "first";
   if (roster.empty()) {
     for (const std::string_view name : kDefaultPortfolioRoster) {
       roster.emplace_back(name);
@@ -295,11 +296,10 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
     Candidate& cand = candidates[static_cast<std::size_t>(i)];
     try {
       SolveOptions mo = options;
-      mo.roster.clear();
-      mo.race_first = false;
+      mo.spec = SolverSpec{};  // members are plain names: every default
       mo.latency_hints.clear();
       mo.deadline_ms = 0;  // the pipeline's deadline already wraps `cancel`
-      const CancelToken* token = options.race_first ? &race : options.cancel;
+      const CancelToken* token = race_first ? &race : options.cancel;
       mo.cancel = token;
       mo.net.cancel = token;
       // The unit seed goes to every member unchanged: mode=all equals the
@@ -318,7 +318,7 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
       cand.weight = g.WeightOf(o.forest);
       cand.out = std::move(o);
       cand.valid = true;
-      if (cand.feasible && options.race_first) {
+      if (cand.feasible && race_first) {
         int expected = -1;
         if (first_winner.compare_exchange_strong(expected, i)) {
           race.Cancel();  // losers stop at their next checkpoint
@@ -337,7 +337,7 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
   // start order, preserving bit-identity across hint states.
   std::vector<int> order(static_cast<std::size_t>(count));
   std::iota(order.begin(), order.end(), 0);
-  if (options.race_first && !options.latency_hints.empty()) {
+  if (race_first && !options.latency_hints.empty()) {
     order = PortfolioStartOrder(roster, options.latency_hints);
   }
   const auto run_slot = [&](int slot) {
@@ -351,7 +351,7 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
   }
 
   // mode=first: the member that fired the CAS wins outright.
-  int pick = options.race_first ? first_winner.load() : -1;
+  int pick = race_first ? first_winner.load() : -1;
   if (pick < 0) {
     // mode=all (and the nobody-finished fallback): cheapest feasible
     // candidate, ties to the earliest registry entry — deterministic
@@ -418,22 +418,18 @@ std::vector<std::string_view> SolverRegistry::Names() {
 
 namespace {
 
-// `options` is by value: it is a handful of scalars, and the batch entry
-// point patches the scheduler field without touching the caller's request.
+// `options` is by value: the pipeline fills its spec and deadline token, and
+// the batch entry point patches threads, without touching the caller's
+// request.
 SolveResult SolveImpl(const SolveRequest& request, std::uint64_t seed,
                       SolveOptions options) {
-  const SolverSpec spec = ParseSolverSpec(request.solver);
+  options.spec = ParseSolverSpec(request.solver);
+  const SolverSpec& spec = options.spec;
   const Solver& solver = SolverRegistry::Get(spec.base);
   DSF_CHECK_MSG(request.graph != nullptr && request.graph->Finalized(),
                 "SolveRequest needs a finalized graph");
   const Graph& g = *request.graph;
 
-  // Portfolio knobs from the spec; explicitly-set options win so the
-  // convenience API can pass a roster without spelling a spec string.
-  if (spec.IsPortfolio()) {
-    if (options.roster.empty()) options.roster = spec.roster;
-    options.race_first = options.race_first || spec.mode == "first";
-  }
   // Deadline: tightest of the option and the spec (both in wall ms). The
   // token lives on this frame and chains below any caller-provided token,
   // so external cancellation still fires under a generous deadline.

@@ -32,18 +32,21 @@
 
 #include "congest/network.hpp"
 #include "graph/graph.hpp"
+#include "solve/solver_spec.hpp"
 #include "steiner/instance.hpp"
 #include "steiner/moat.hpp"
 
 namespace dsf {
 
 // Knobs understood by the pipeline and forwarded to the solver cores; each
-// solver reads the subset that applies to it and ignores the rest.
+// solver reads the subset that applies to it and ignores the rest. A
+// solver's own parameters (ε, repetitions, the portfolio roster) come only
+// from the spec string SolveRequest::solver.
 struct SolveOptions {
-  // ε of Algorithm 2 (gw-moat, dist-det); 0 runs the exact-event Algorithm 1.
-  Real epsilon = 0.0L;
-  // Independent repetitions of dist-rand (the paper's c·log n amplification).
-  int repetitions = 1;
+  // The parsed SolveRequest::solver: `Solve` overwrites it before calling
+  // the core, and the cores read their parameters from it. A direct
+  // SolveMinimal call with the default runs every parameter at its default.
+  SolverSpec spec;
   // Reduce the output to its unique minimal feasible subforest. Idempotent
   // for solvers that already prune (moat growing, exact).
   bool prune = true;
@@ -67,11 +70,6 @@ struct SolveOptions {
   // Borrowed; must outlive the solve. Combined with deadline_ms when both
   // are set. May be nullptr.
   const CancelToken* cancel = nullptr;
-  // Portfolio knobs, normally populated from a parsed `portfolio(...)`
-  // spec (solve/solver_spec.hpp); ignored by every other solver. An empty
-  // roster means the default (kDefaultPortfolioRoster).
-  std::vector<std::string> roster;
-  bool race_first = false;  // mode=first: cancel losers at first feasible
   // Warm start for local-search: a feasible forest to refine instead of
   // building the Kruskal-prune seed (the incremental/online hook). Empty =
   // cold start.
@@ -95,8 +93,8 @@ struct SolveOptions {
 // 2.1 / 2.2), options, and a seed. The graph is borrowed, not owned — it
 // must outlive the request (batches share one topology across requests).
 struct SolveRequest {
-  // Registry name ("dist-det") or a parameterized spec
-  // ("portfolio(roster=gw-moat+greedy-merge,mode=first)"); parsed and
+  // Registry name ("dist-det") or a parameterized spec ("dist-det(eps=0.5)",
+  // "portfolio(roster=gw-moat+greedy-merge,mode=first)"); parsed and
   // canonicalized by the pipeline — see solve/solver_spec.hpp.
   std::string solver;
   const Graph* graph = nullptr; // finalized; must outlive the request

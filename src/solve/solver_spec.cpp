@@ -1,7 +1,11 @@
 #include "solve/solver_spec.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "solve/solver.hpp"
 
@@ -44,10 +48,72 @@ std::vector<std::string_view> SplitOn(std::string_view s, char sep) {
   return out;
 }
 
+// Which solver reads which key; every other (solver, key) pair is rejected.
+constexpr std::pair<std::string_view, std::string_view> kKeys[] = {
+    {"gw-moat", "eps"},      {"dist-det", "eps"},
+    {"dist-rand", "reps"},   {"portfolio", "roster"},
+    {"portfolio", "mode"},   {"portfolio", "deadline_ms"},
+};
+
+void CheckKey(const std::string& base, std::string_view key) {
+  std::string expected;
+  for (const auto& [solver, k] : kKeys) {
+    if (solver != base) continue;
+    if (k == key) return;
+    expected += (expected.empty() ? "" : ", ") + std::string(k);
+  }
+  if (expected.empty()) {
+    Fail("'" + base + "' takes no parameters (got '" + std::string(key) +
+         "')");
+  }
+  Fail("unknown key '" + std::string(key) + "' for '" + base +
+       "' (expected " + expected + ")");
+}
+
+// A decimal integer in [1, max]; digits only.
+int ParsePositiveInt(std::string_view key, std::string_view value, int max) {
+  long long v = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9' || v > max) {
+      v = 0;
+      break;
+    }
+    v = v * 10 + (c - '0');
+  }
+  if (v < 1 || v > max) {
+    Fail(std::string(key) + " must be an integer in [1, " +
+         std::to_string(max) + "], got '" + std::string(value) + "'");
+  }
+  return static_cast<int>(v);
+}
+
+// strtod over the whole value, finite and in [0, 64] (NaN fails the range).
+double ParseEpsilon(std::string_view value) {
+  const std::string text(value);
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
+      !(v >= 0.0 && v <= 64.0)) {
+    Fail("eps must be a number in [0, 64], got '" + text + "'");
+  }
+  return v == 0.0 ? 0.0 : v;  // -0 canonicalizes like 0
+}
+
 }  // namespace
 
 std::string SolverSpec::Canonical() const {
-  if (!IsPortfolio()) return base;
+  if (!IsPortfolio()) {
+    if (epsilon != 0.0) {
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof buf, epsilon);
+      return base + "(eps=" + std::string(buf, res.ptr) + ")";
+    }
+    if (repetitions != 1) {
+      return base + "(reps=" + std::to_string(repetitions) + ")";
+    }
+    return base;
+  }
   std::string out = "portfolio(roster=";
   for (std::size_t i = 0; i < roster.size(); ++i) {
     if (i > 0) out += '+';
@@ -67,18 +133,16 @@ SolverSpec ParseSolverSpec(std::string_view text) {
   if (text.empty()) Fail("empty solver name");
 
   const auto open = text.find('(');
-  if (open == std::string_view::npos) {
-    spec.base = std::string(text);
-  } else {
+  spec.base = std::string(Trim(text.substr(0, open)));
+  if (RegistryIndex(spec.base) < 0) {
+    Fail("unknown solver '" + spec.base + "'");
+  }
+  if (open != std::string_view::npos) {
     if (text.back() != ')') {
       Fail("expected ')' at the end of '" + std::string(text) + "'");
     }
-    spec.base = std::string(Trim(text.substr(0, open)));
     const std::string_view inner =
         text.substr(open + 1, text.size() - open - 2);
-    if (spec.base != "portfolio") {
-      Fail("only 'portfolio' accepts parameters (got '" + spec.base + "')");
-    }
     for (const std::string_view kv : SplitOn(inner, ',')) {
       if (kv.empty()) continue;
       const auto eq = kv.find('=');
@@ -87,7 +151,12 @@ SolverSpec ParseSolverSpec(std::string_view text) {
       }
       const std::string_view key = Trim(kv.substr(0, eq));
       const std::string_view value = Trim(kv.substr(eq + 1));
-      if (key == "roster") {
+      CheckKey(spec.base, key);
+      if (key == "eps") {
+        spec.epsilon = ParseEpsilon(value);
+      } else if (key == "reps") {
+        spec.repetitions = ParsePositiveInt(key, value, 1 << 20);
+      } else if (key == "roster") {
         for (const std::string_view member : SplitOn(value, '+')) {
           if (member.empty()) Fail("empty roster member");
           spec.roster.emplace_back(member);
@@ -98,34 +167,12 @@ SolverSpec ParseSolverSpec(std::string_view text) {
                "'");
         }
         spec.mode = std::string(value);
-      } else if (key == "deadline_ms") {
-        int ms = 0;
-        for (const char c : value) {
-          if (c < '0' || c > '9' || ms > 100'000'000) {
-            Fail("deadline_ms must be a positive integer, got '" +
-                 std::string(value) + "'");
-          }
-          ms = ms * 10 + (c - '0');
-        }
-        if (ms <= 0) {
-          Fail("deadline_ms must be a positive integer, got '" +
-               std::string(value) + "'");
-        }
-        spec.deadline_ms = ms;
-      } else {
-        Fail("unknown key '" + std::string(key) +
-             "' (expected roster, mode, or deadline_ms)");
+      } else {  // deadline_ms
+        spec.deadline_ms = ParsePositiveInt(key, value, 1'000'000'000);
       }
     }
   }
-
-  if (RegistryIndex(spec.base) < 0) {
-    Fail("unknown solver '" + spec.base + "'");
-  }
-  if (!spec.IsPortfolio()) {
-    if (!spec.roster.empty()) Fail("only 'portfolio' takes a roster");
-    return spec;
-  }
+  if (!spec.IsPortfolio()) return spec;
 
   if (spec.roster.empty()) {
     for (const std::string_view name : kDefaultPortfolioRoster) {
@@ -133,6 +180,11 @@ SolverSpec ParseSolverSpec(std::string_view text) {
     }
   }
   for (const std::string& member : spec.roster) {
+    if (member.find_first_of("()") != std::string::npos) {
+      Fail("roster member '" + member +
+           "' cannot take parameters; a portfolio races plain registry "
+           "names");
+    }
     if (member == "portfolio") Fail("portfolio cannot nest itself");
     if (RegistryIndex(member) < 0) {
       Fail("unknown roster member '" + member + "'");

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "steiner/exact.hpp"
@@ -109,13 +113,23 @@ TEST(DetMoatTest, TwoApproxAgainstExact) {
 
 TEST(DetMoatTest, MstSpecialCase) {
   // t = n, k = 1: exact MST (paper, Main Techniques).
+  const auto check = [](const Graph& g, const std::string& what) {
+    std::vector<std::pair<NodeId, Label>> assign;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) assign.push_back({v, 1});
+    const auto res =
+        RunDistributedMoat(g, MakeIcInstance(g.NumNodes(), assign));
+    EXPECT_EQ(g.WeightOf(res.forest), MstWeight(g)) << what;
+  };
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     SplitMix64 rng(seed);
-    const Graph g = MakeConnectedRandom(12, 0.3, 1, 40, rng);
-    std::vector<std::pair<NodeId, Label>> assign;
-    for (NodeId v = 0; v < 12; ++v) assign.push_back({v, 1});
-    const auto res = RunDistributedMoat(g, MakeIcInstance(12, assign));
-    EXPECT_EQ(g.WeightOf(res.forest), MstWeight(g)) << seed;
+    check(MakeConnectedRandom(12, 0.3, 1, 40, rng), "n=12 seed=" +
+                                                        std::to_string(seed));
+  }
+  // Sparse graphs up to n = 96 (expected degree 8).
+  for (const int n : {24, 48, 96}) {
+    SplitMix64 rng(static_cast<std::uint64_t>(n) * 3 + 1);
+    check(MakeConnectedRandom(n, 8.0 / n, 1, 50, rng),
+          "n=" + std::to_string(n));
   }
 }
 

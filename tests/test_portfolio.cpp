@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/random.hpp"
+#include "dist/det_moat.hpp"
+#include "dist/randomized.hpp"
 #include "graph/generators.hpp"
 #include "solve/solver.hpp"
 #include "steiner/greedy.hpp"
@@ -103,6 +106,115 @@ TEST(SolverSpecTest, RejectsMalformedSpecs) {
     EXPECT_FALSE(why.empty()) << text;
   }
   EXPECT_TRUE(IsValidSolverSpec("portfolio(roster=exact,mode=first)"));
+}
+
+TEST(SolverSpecTest, ParametersCanonicalizeToShortestDecimals) {
+  // Every spelling of the same ε prints one way; defaults are dropped.
+  for (const char* text :
+       {"dist-det(eps=0.50)", "dist-det(eps=5e-1)", "dist-det( eps = .5 )"}) {
+    const SolverSpec spec = ParseSolverSpec(text);
+    EXPECT_EQ(spec.epsilon, 0.5) << text;
+    EXPECT_EQ(spec.Canonical(), "dist-det(eps=0.5)") << text;
+  }
+  EXPECT_EQ(ParseSolverSpec("dist-det(eps=0)").Canonical(), "dist-det");
+  EXPECT_EQ(ParseSolverSpec("gw-moat(eps=-0)").Canonical(), "gw-moat");
+  EXPECT_EQ(ParseSolverSpec("gw-moat(eps=0.1)").Canonical(), "gw-moat(eps=0.1)");
+  EXPECT_EQ(ParseSolverSpec("dist-det(eps=64)").Canonical(), "dist-det(eps=64)");
+  EXPECT_EQ(ParseSolverSpec("dist-rand(reps=1)").Canonical(), "dist-rand");
+  EXPECT_EQ(ParseSolverSpec("dist-rand(reps=04)").Canonical(),
+            "dist-rand(reps=4)");
+  EXPECT_EQ(ParseSolverSpec("dist-rand(reps=1048576)").repetitions, 1 << 20);
+  // Canonical strings are fixed points, down to the last bit of ε.
+  for (const char* text : {"gw-moat(eps=0.1)", "dist-det(eps=1e-05)",
+                           "dist-det(eps=0.30000000000000004)"}) {
+    const SolverSpec spec = ParseSolverSpec(text);
+    EXPECT_EQ(spec.Canonical(), text);
+    EXPECT_EQ(ParseSolverSpec(spec.Canonical()).epsilon, spec.epsilon);
+  }
+}
+
+TEST(SolverSpecTest, RejectsParametersASolverDoesNotRead) {
+  const std::vector<std::string> bad = {
+      "mst-prune(eps=1)",          // solver without parameters
+      "exact(reps=2)",
+      "dist-rand(eps=0.5)",        // another solver's key
+      "dist-det(reps=2)",
+      "gw-moat(roster=exact)",
+      "dist-det(eps=1,mode=all)",
+      "dist-rand(reps=0)",         // out of range
+      "dist-rand(reps=1048577)",
+      "dist-rand(reps=-1)",
+      "dist-rand(reps=2.5)",
+      "dist-rand(reps=99999999999999999999)",
+      "dist-det(eps=-1)",
+      "dist-det(eps=nan)",
+      "dist-det(eps=inf)",
+      "dist-det(eps=65)",
+      "dist-det(eps=64.000001)",
+      "dist-det(eps=)",
+      "dist-det(eps=0.5x)",
+      "dist-det(eps=1e-400)",      // underflows
+      "dist-det(eps=0.5",          // unbalanced
+      "nope(eps=1)",
+  };
+  for (const std::string& text : bad) {
+    std::string why;
+    EXPECT_FALSE(IsValidSolverSpec(text, &why)) << text;
+    EXPECT_FALSE(why.empty()) << text;
+  }
+  std::string why;
+  EXPECT_FALSE(IsValidSolverSpec("mst-prune(eps=1)", &why));
+  EXPECT_NE(why.find("'mst-prune' takes no parameters"), std::string::npos)
+      << why;
+  EXPECT_FALSE(IsValidSolverSpec("dist-rand(eps=1)", &why));
+  EXPECT_NE(why.find("expected reps"), std::string::npos) << why;
+}
+
+TEST(SolverSpecTest, RosterMembersCannotCarryParameters) {
+  for (const char* text :
+       {"portfolio(roster=dist-det(eps=0.5)+gw-moat)",
+        "portfolio(roster=gw-moat+dist-rand(reps=2),mode=first)",
+        "portfolio(roster=portfolio(roster=exact))"}) {
+    std::string why;
+    EXPECT_FALSE(IsValidSolverSpec(text, &why)) << text;
+    EXPECT_NE(why.find("cannot take parameters"), std::string::npos) << why;
+  }
+}
+
+TEST(SolverSpecTest, ParametersReachTheCores) {
+  SplitMix64 rng(21);
+  const Graph g = MakeConnectedRandom(24, 0.15, 1, 30, rng);
+  const IcInstance ic =
+      MakeIcInstance(24, {{0, 1}, {9, 1}, {4, 2}, {17, 2}, {12, 3}, {23, 3}});
+
+  DetMoatOptions dopt;
+  dopt.epsilon = 0.5L;
+  const auto det = RunDistributedMoat(g, ic, dopt, 5);
+  const SolveResult via_spec = Solve("dist-det(eps=0.5)", g, ic, {}, 5);
+  std::vector<EdgeId> det_forest = det.forest;
+  std::sort(det_forest.begin(), det_forest.end());
+  EXPECT_EQ(via_spec.solver, "dist-det(eps=0.5)");
+  EXPECT_EQ(via_spec.forest, det_forest);
+  EXPECT_EQ(via_spec.phases, det.phases);
+  EXPECT_EQ(via_spec.dual_lower_bound, det.dual_sum);
+  EXPECT_EQ(via_spec.stats.rounds, det.stats.rounds);
+  EXPECT_EQ(via_spec.stats.messages, det.stats.messages);
+  // ε = 0.5 rounds the radii to checkpoints: the phase count proves the
+  // parameter was not dropped on the way.
+  EXPECT_NE(via_spec.phases, Solve("dist-det", g, ic, {}, 5).phases);
+
+  RandomizedOptions ropt;
+  ropt.repetitions = 4;
+  const auto rand = RunRandomizedSteinerForest(g, ic, ropt, 5);
+  const SolveResult rand_spec = Solve("dist-rand(reps=4)", g, ic, {}, 5);
+  std::vector<EdgeId> rand_forest = rand.forest;
+  std::sort(rand_forest.begin(), rand_forest.end());
+  EXPECT_EQ(rand_spec.forest, rand_forest);
+  EXPECT_EQ(rand_spec.stats.rounds, rand.stats.rounds);
+  EXPECT_EQ(rand_spec.stats.messages, rand.stats.messages);
+  EXPECT_EQ(rand_spec.stats.charged_rounds, rand.stats.charged_rounds);
+  EXPECT_GT(rand_spec.stats.rounds,
+            Solve("dist-rand", g, ic, {}, 5).stats.rounds);
 }
 
 TEST(SolverSpecTest, SplitSolverListIsParenAware) {
@@ -308,6 +420,34 @@ TEST(AnytimeSolverTest, CancelledLocalSearchKeepsFeasibleIncumbent) {
   // The incumbent — here the untouched warm start — survives cancellation.
   EXPECT_EQ(res.forest, cold.forest);
   EXPECT_TRUE(IsFeasible(g, ic, res.forest));
+}
+
+TEST(LocalSearchTest, SwapReplacesADetourInTheWarmStart) {
+  // {0, 2} and {1, 5} must be connected. The warm start is a feasible
+  // spanning tree that joins 0 to 2 through the detour 0-3-4-2 (weight 12)
+  // while the edge 0-1 (weight 1) reaches the same tree: removing 0-3 and
+  // reconnecting through 0-1 is a strictly cheaper swap, after which 3-4
+  // and 4-2 dangle and go. A no-op search returns the warm start.
+  const Graph g = MakeGraph(6, {{0, 1, 1},
+                                {1, 2, 1},
+                                {0, 3, 4},
+                                {3, 4, 4},
+                                {4, 2, 4},
+                                {2, 5, 2}});
+  const IcInstance ic = MakeIcInstance(6, {{0, 1}, {2, 1}, {1, 2}, {5, 2}});
+  const std::vector<EdgeId> warm = {1, 2, 3, 4, 5};
+  ASSERT_TRUE(IsFeasible(g, ic, warm));
+  ASSERT_TRUE(g.IsForest(warm));
+  ASSERT_EQ(g.WeightOf(warm), 15);
+
+  LocalSearchOptions opt;
+  opt.warm_start = &warm;
+  const LocalSearchResult res = LocalSearchSteinerForest(g, ic, opt);
+  EXPECT_TRUE(IsFeasible(g, ic, res.forest));
+  EXPECT_LT(g.WeightOf(res.forest), g.WeightOf(warm));
+  EXPECT_GT(res.moves, 0);
+  // Here the local optimum is the optimum: 0-1, 1-2, 2-5.
+  EXPECT_EQ(res.forest, (std::vector<EdgeId>{0, 1, 5}));
 }
 
 TEST(AnytimeSolverTest, CancelledGreedyReturnsPartialForest) {

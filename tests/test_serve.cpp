@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -109,12 +110,11 @@ TEST(CanonicalHashTest, EveryFieldSplitsTheKey) {
   EXPECT_NE(k, CanonicalHash(HashGraph(TestGraph(5)), base, 7));  // graph
   EXPECT_NE(k, CanonicalHash(gh, base, 8));                      // seed
   EXPECT_NE(k, CanonicalHash(gh, IcRequest(g, "dist-det"), 7));  // solver
-  SolveRequest eps = base;
-  eps.options.epsilon = 0.25L;
-  EXPECT_NE(k, CanonicalHash(gh, eps, 7));
-  SolveRequest reps = base;
-  reps.options.repetitions = 3;
-  EXPECT_NE(k, CanonicalHash(gh, reps, 7));
+  // Solver parameters split the key through the canonical spec string.
+  const CacheKey det = CanonicalHash(gh, IcRequest(g, "dist-det"), 7);
+  EXPECT_NE(det, CanonicalHash(gh, IcRequest(g, "dist-det(eps=0.25)"), 7));
+  const CacheKey rand = CanonicalHash(gh, IcRequest(g, "dist-rand"), 7);
+  EXPECT_NE(rand, CanonicalHash(gh, IcRequest(g, "dist-rand(reps=3)"), 7));
   SolveRequest noprune = base;
   noprune.options.prune = false;
   EXPECT_NE(k, CanonicalHash(gh, noprune, 7));
@@ -408,6 +408,42 @@ TEST(ProtocolTest, SolveMatchesOneShotAndCaches) {
   }
   for (const JsonValue& r : warm.Find("results")->array) {
     EXPECT_TRUE(r.GetBool("cached", false));
+  }
+}
+
+TEST(ProtocolTest, SolverParametersTravelInTheSpec) {
+  InProcessService svc;
+  std::ostringstream req;
+  req << R"({"op":"solve","spec":)" << EscapeForJson(kWireSpec)
+      << R"j(,"solvers":["dist-det(eps=0.50)","dist-rand(reps=2)"]})j";
+  const JsonValue v = ParseJson(HandleRequestLine(svc.ctx, req.str()));
+  ASSERT_TRUE(v.GetBool("ok", false)) << v.GetString("error", "");
+  const auto expected =
+      OneShot(kWireSpec, {"dist-det(eps=0.5)", "dist-rand(reps=2)"});
+  const auto cells = CellsOf(v);
+  ASSERT_EQ(cells.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(cells[i].weight, expected[i].weight) << i;
+    EXPECT_EQ(cells[i].edges, expected[i].edges) << i;
+  }
+  // Results carry the canonical spelling.
+  EXPECT_EQ(v.Find("results")->array[0].GetString("solver", ""),
+            "dist-det(eps=0.5)");
+
+  // The retired side fields would otherwise be ignored as unknown keys and
+  // silently answer with default parameters: they fail, naming the spec.
+  const std::pair<const char*, const char*> retired[] = {
+      {R"("epsilon":0.5)", "dist-det(eps=0.5)"},
+      {R"("repetitions":4)", "dist-rand(reps=4)"},
+  };
+  for (const auto& [field, spec_form] : retired) {
+    std::ostringstream bad;
+    bad << R"({"op":"solve","spec":)" << EscapeForJson(kWireSpec)
+        << R"(,"solvers":["dist-det"],)" << field << "}";
+    const JsonValue r = ParseJson(HandleRequestLine(svc.ctx, bad.str()));
+    EXPECT_FALSE(r.GetBool("ok", true)) << field;
+    EXPECT_NE(r.GetString("error", "").find(spec_form), std::string::npos)
+        << r.GetString("error", "");
   }
 }
 

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <utility>
 
 #include "graph/generators.hpp"
 #include "solve/solver_spec.hpp"
@@ -162,12 +164,13 @@ TEST(SolverConsistencyTest, CrossSolverSweep) {
       }
       const IcInstance ic = MakeIcInstance(n, assign);
 
-      for (const Real eps : {0.0L, 0.25L}) {
-        SolveOptions opt;
-        opt.epsilon = eps;
-        const SolveResult gw = Solve("gw-moat", *g, ic, opt, seed + 1);
+      for (const auto& [params, eps] :
+           {std::pair{"", 0.0L}, std::pair{"(eps=0.25)", 0.25L}}) {
+        const SolveResult gw =
+            Solve(std::string("gw-moat") + params, *g, ic, {}, seed + 1);
         ASSERT_GT(gw.dual_lower_bound, 0) << seed;
-        const SolveResult det = Solve("dist-det", *g, ic, opt, seed + 1);
+        const SolveResult det =
+            Solve(std::string("dist-det") + params, *g, ic, {}, seed + 1);
         // Theorem 4.1 / 4.2: W(F) < (2+ε) Σ act·µ — exact in fixed point.
         const auto bound = static_cast<Fixed>(
             (2.0L + eps) * static_cast<Real>(gw.dual_lower_bound) + 1.0L);

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "solve/solver_spec.hpp"
@@ -488,6 +490,56 @@ TEST(SuiteCorpusTest, CommittedPaperBaselineCoversTheRoundSeries) {
     }
   }
   EXPECT_EQ(b.cells.size(), 3 * want.size());
+}
+
+TEST(SuiteCorpusTest, CommittedApproxBaselineHoldsThePaperBounds) {
+  const std::string root = DSF_SOURCE_DIR;
+  const SuiteManifest m =
+      LoadSuiteManifest(root + "/scenarios/paper/approx.dsf-suite");
+  const SuiteBaseline b = LoadSuiteBaseline(root + "/bench/SUITE_approx.json");
+  EXPECT_EQ(b.manifest_digest, SuiteDigest(m));
+  const std::vector<std::pair<std::string, double>> det = {
+      {"dist-det", 0.0},           {"dist-det(eps=0.1)", 0.1},
+      {"dist-det(eps=0.25)", 0.25}, {"dist-det(eps=0.5)", 0.5},
+      {"dist-det(eps=1)", 1.0}};
+  std::vector<std::string> roster = {"exact"};
+  for (const auto& [spec, eps] : det) roster.push_back(spec);
+  for (const char* spec : {"dist-rand", "dist-rand(reps=2)",
+                           "dist-rand(reps=4)", "dist-rand(reps=8)",
+                           "dist-khan"}) {
+    roster.emplace_back(spec);
+  }
+  EXPECT_EQ(b.solvers, roster);
+
+  // The exact optimum of every (case, instance); then the theorems' bounds
+  // on the committed cells, independent of any re-record.
+  std::map<std::pair<std::string, std::string>, long long> opt;
+  for (const SuiteCell& c : b.cells) {
+    EXPECT_TRUE(c.feasible) << c.solver << " / " << c.case_name;
+    if (c.solver == "exact") opt[{c.case_name, c.instance}] = c.cost;
+  }
+  EXPECT_EQ(opt.size(), 43u);
+  EXPECT_EQ(b.cells.size(), roster.size() * opt.size());
+  int all_terminal = 0;
+  for (const SuiteCell& c : b.cells) {
+    const long long best = opt.at({c.case_name, c.instance});
+    ASSERT_GT(best, 0) << c.case_name;
+    EXPECT_GE(c.cost, best) << c.solver << " / " << c.case_name;
+    if (c.solver != "exact") EXPECT_GT(c.rounds, 0) << c.solver;
+    for (const auto& [spec, eps] : det) {
+      if (c.solver != spec) continue;
+      // Theorems 4.1 / 4.2: W(F) <= (2 + ε) OPT.
+      EXPECT_LE(static_cast<double>(c.cost),
+                (2.0 + eps) * static_cast<double>(best))
+          << spec << " / " << c.case_name;
+      // t = n: the moat output is an MST, which is optimal.
+      if (c.case_name.rfind("e10mst14", 0) == 0) {
+        EXPECT_EQ(c.cost, best) << spec << " / " << c.case_name;
+        ++all_terminal;
+      }
+    }
+  }
+  EXPECT_EQ(all_terminal, 3 * static_cast<int>(det.size()));
 }
 
 }  // namespace
