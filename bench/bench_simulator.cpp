@@ -1,7 +1,6 @@
 // Simulator-throughput benchmark (the tentpole metric of the hot-loop
 // rearchitecture): rounds/sec and messages/sec of Network::Step() itself,
-// across sparse and dense topologies and both scheduler configurations
-// (tick-everyone reference, active-set). Two workload classes:
+// across sparse and dense topologies. Two workload classes:
 //
 //   * Flood — every node sends on every edge every round: zero idle nodes,
 //     so this isolates the per-message path (mirror delivery, dirty-list
@@ -9,8 +8,8 @@
 //   * DetMoat / Rand — the paper's protocols on the shape of the paper
 //     manifest's n = 256 cell (scenarios/paper/e4_rounds_vs_k_n.dsf, sparse
 //     ER at p = 6/n, k = 4): the end-to-end wall clock the simulator's ≥3x
-//     speedup target is stated over, where active-set scheduling
-//     additionally skips quiescent nodes.
+//     speedup target is stated over, where the active set additionally
+//     skips quiescent nodes.
 //
 // Pre-refactor reference numbers (same machine, RelWithDebInfo — the
 // default build type — the seed simulator at commit 89e4cf6) are recorded
@@ -19,23 +18,45 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "common/random.hpp"
 #include "congest/network.hpp"
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
+#include "graph/generators.hpp"
+#include "graph/properties.hpp"
+#include "steiner/instance.hpp"
 
 namespace dsf {
 namespace {
 
-// Scheduler configurations, indexed by benchmark argument: 0 ticks every
-// node every round, 1 honors WantsTick().
-NetworkOptions ConfigAt(int idx) {
-  return NetworkOptions{/*active_set=*/idx != 0};
+// k components of 2 terminals each, spread over the node range without
+// collisions, deterministically in the seed.
+IcInstance SpreadComponents(int n, int k, SplitMix64& rng) {
+  std::vector<std::pair<NodeId, Label>> assign;
+  std::vector<char> used(static_cast<std::size_t>(n), 0);
+  for (int c = 0; c < k; ++c) {
+    for (int j = 0; j < 2; ++j) {
+      NodeId v = 0;
+      do {
+        v = static_cast<NodeId>(rng.NextBelow(static_cast<std::uint64_t>(n)));
+      } while (used[static_cast<std::size_t>(v)]);
+      used[static_cast<std::size_t>(v)] = 1;
+      assign.push_back({v, static_cast<Label>(c + 1)});
+    }
+  }
+  return MakeIcInstance(n, assign);
 }
 
-const char* ConfigName(int idx) { return idx == 0 ? "seq" : "active"; }
+void ReportGraphParams(benchmark::State& state, const Graph& g) {
+  const auto& p = CachedParameters(g);
+  state.counters["n"] = g.NumNodes();
+  state.counters["m"] = g.NumEdges();
+  state.counters["D"] = p.unweighted_diameter;
+  state.counters["s"] = p.shortest_path_diameter;
+}
 
 // Every node sends a 3-field message on every incident edge every round for
 // a fixed horizon; no node is ever idle.
@@ -72,11 +93,9 @@ double RoundPercentile(std::vector<double>& samples, double q) {
 }
 
 // Steps the network manually so every round's wall clock is sampled: the
-// JSON output carries msgs_per_sec plus p50/p95 round-time percentiles per
-// scheduler configuration, making before/after delivery-path claims
-// machine-diffable (ISSUE 6 acceptance metric).
+// JSON output carries msgs_per_sec plus p50/p95 round-time percentiles,
+// making before/after delivery-path claims machine-diffable.
 void RunFlood(benchmark::State& state, const Graph& g, long horizon) {
-  const int config = static_cast<int>(state.range(0));
   long rounds = 0;
   long messages = 0;
   std::vector<double> round_us;
@@ -85,7 +104,7 @@ void RunFlood(benchmark::State& state, const Graph& g, long horizon) {
     StaticKnowledge known;
     known.n = g.NumNodes();
     known.diameter_bound = g.NumNodes();
-    Network net(g, known, /*seed=*/1, ConfigAt(config));
+    Network net(g, known, /*seed=*/1);
     net.Start([&](NodeId v) {
       return std::make_unique<FloodProgram>(v, horizon);
     });
@@ -109,7 +128,6 @@ void RunFlood(benchmark::State& state, const Graph& g, long horizon) {
       benchmark::Counter::kIsRate);
   state.counters["round_p50_us"] = RoundPercentile(round_us, 0.50);
   state.counters["round_p95_us"] = RoundPercentile(round_us, 0.95);
-  state.SetLabel(ConfigName(config));
   state.counters["n"] = g.NumNodes();
   state.counters["m"] = g.NumEdges();
 }
@@ -119,9 +137,9 @@ void BM_FloodSparse(benchmark::State& state) {
   const Graph g = MakeConnectedRandom(512, 6.0 / 512, 1, 32, rng);
   RunFlood(state, g, /*horizon=*/200);
 }
-BENCHMARK(BM_FloodSparse)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloodSparse)->Unit(benchmark::kMillisecond);
 
-// The headline configuration of the arena rearchitecture (ISSUE 6): a
+// The headline configuration of the arena rearchitecture: a
 // n = 4096 sparse flood whose per-round traffic (~2 * m messages) is far
 // larger than any cache level, so msgs_per_sec here measures the delivery
 // path's memory behavior, not compute. The ≥1.5x acceptance criterion is
@@ -131,17 +149,14 @@ void BM_FloodSparse4096(benchmark::State& state) {
   const Graph g = MakeConnectedRandom(4096, 6.0 / 4096, 1, 32, rng);
   RunFlood(state, g, /*horizon=*/30);
 }
-BENCHMARK(BM_FloodSparse4096)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloodSparse4096)->Unit(benchmark::kMillisecond);
 
 void BM_FloodDense(benchmark::State& state) {
   SplitMix64 rng(43);
   const Graph g = MakeConnectedRandom(192, 0.4, 1, 32, rng);
   RunFlood(state, g, /*horizon=*/200);
 }
-BENCHMARK(BM_FloodDense)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloodDense)->Unit(benchmark::kMillisecond);
 
 // The shape of the paper manifest's n = 256 cell (E4's largest n-sweep row):
 // end-to-end protocol wall clock. Static knowledge is warmed outside the
@@ -150,51 +165,39 @@ void BM_DetMoatLargestN(benchmark::State& state) {
   const int n = 256;
   SplitMix64 rng(static_cast<std::uint64_t>(n) * 31 + 7);
   const Graph g = MakeConnectedRandom(n, 6.0 / n, 1, 32, rng);
-  const IcInstance ic = bench::SpreadComponents(n, 4, rng);
+  const IcInstance ic = SpreadComponents(n, 4, rng);
   (void)CachedParameters(g);
-  DetMoatOptions opts;
-  opts.net = ConfigAt(static_cast<int>(state.range(0)));
   long rounds = 0;
   for (auto _ : state) {
-    const auto res = RunDistributedMoat(g, ic, opts, 1);
+    const auto res = RunDistributedMoat(g, ic, {}, 1);
     rounds = res.stats.rounds;
   }
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["rounds_per_sec"] = benchmark::Counter(
       static_cast<double>(rounds * state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(ConfigName(static_cast<int>(state.range(0))));
-  bench::ReportGraphParams(state, g);
+  ReportGraphParams(state, g);
 }
-BENCHMARK(BM_DetMoatLargestN)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DetMoatLargestN)->Unit(benchmark::kMillisecond);
 
 void BM_RandLargestN(benchmark::State& state) {
   const int n = 256;
   SplitMix64 rng(static_cast<std::uint64_t>(n) * 31 + 7);
   const Graph g = MakeConnectedRandom(n, 6.0 / n, 1, 32, rng);
-  const IcInstance ic = bench::SpreadComponents(n, 4, rng);
+  const IcInstance ic = SpreadComponents(n, 4, rng);
   (void)CachedParameters(g);
-  RandomizedOptions opts;
-  opts.net = ConfigAt(static_cast<int>(state.range(0)));
   long rounds = 0;
   for (auto _ : state) {
-    const auto res = RunRandomizedSteinerForest(g, ic, opts, 1);
+    const auto res = RunRandomizedSteinerForest(g, ic, {}, 1);
     rounds = res.stats.rounds;
   }
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["rounds_per_sec"] = benchmark::Counter(
       static_cast<double>(rounds * state.iterations()),
       benchmark::Counter::kIsRate);
-  state.SetLabel(ConfigName(static_cast<int>(state.range(0))));
-  bench::ReportGraphParams(state, g);
+  ReportGraphParams(state, g);
 }
-BENCHMARK(BM_RandLargestN)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RandLargestN)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dsf

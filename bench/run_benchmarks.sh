@@ -15,14 +15,31 @@
 # to run against a non-Release build. Needs python3 (JSON stamping and the
 # acceptance ratios).
 #
-# Fails loudly: a missing binary, a crashing benchmark, a run that
-# produces empty/truncated JSON, or a missed acceptance ratio all abort with
-# a nonzero exit and a message naming the culprit — a silent half-finished
-# BENCH_*.json would otherwise poison cross-commit comparisons.
+# Fails loudly: a bench/bench_*.cpp this script does not run, a missing
+# binary, a crashing benchmark, a run that produces empty/truncated JSON, or
+# a missed acceptance ratio all abort with a nonzero exit and a message
+# naming the culprit — a silent half-finished BENCH_*.json would otherwise
+# poison cross-commit comparisons.
 set -eu
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-$BUILD_DIR}"
+BENCHES="bench_simulator bench_batch_throughput bench_serve bench_router bench_portfolio"
+
+# Every bench/bench_*.cpp must be a benchmark this script runs: a binary no
+# script measures records nothing, so it may not come back unnoticed.
+for src in "$(dirname "$0")"/bench_*.cpp; do
+  name="$(basename "$src" .cpp)"
+  case " $BENCHES " in
+    *" $name "*) ;;
+    *)
+      echo "error: $src is not run by $0; add it to BENCHES with a" \
+           "recorded series, or delete it" >&2
+      exit 1
+      ;;
+  esac
+done
+
 mkdir -p "$OUT_DIR"
 
 # Refuse non-Release builds: debug-recorded BENCH_*.json files are useless
@@ -41,7 +58,7 @@ if ! command -v python3 >/dev/null 2>&1; then
   exit 1
 fi
 
-for bin in bench_simulator bench_batch_throughput bench_serve bench_router bench_portfolio; do
+for bin in $BENCHES; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "error: $BUILD_DIR/$bin not built (need Google Benchmark;" \
          "configure with e.g. cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release)" >&2

@@ -33,6 +33,7 @@
 //       [--inject-cost N] [--inject-p95-ms X]
 //   dsf --list-solvers
 //   dsf --list-generators
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -434,17 +435,24 @@ int RunCli(const CliArgs& args) {
   }
 
   if (!args.json_path.empty()) {
-    std::printf("%-10s  %-18s %-14s %-5s %10s %8s %9s %8s\n", "solver",
-                "case", "instance", "input", "weight", "ok", "rounds",
-                "wall_ms");
+    // The solver column fits the longest canonical spec of the run
+    // (`gw-moat(eps=0.25)`, portfolio specs), so no row shifts the table.
+    int solver_width = 10;
+    for (const auto& r : results) {
+      solver_width = std::max(solver_width, static_cast<int>(r.solver.size()));
+    }
+    std::printf("%-*s  %-18s %-14s %-5s %10s %8s %9s %8s\n", solver_width,
+                "solver", "case", "instance", "input", "weight", "ok",
+                "rounds", "wall_ms");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
       const WorkloadCase& wc =
           workload.cases[static_cast<std::size_t>(matrix.case_index[i])];
       const WorkloadInstance& inst =
           wc.instances[static_cast<std::size_t>(matrix.instance_index[i])];
-      std::printf("%-10s  %-18s %-14s %-5s %10lld %8s %9ld %8.2f\n",
-                  r.solver.c_str(), wc.name.c_str(), inst.name.c_str(),
+      std::printf("%-*s  %-18s %-14s %-5s %10lld %8s %9ld %8.2f\n",
+                  solver_width, r.solver.c_str(), wc.name.c_str(),
+                  inst.name.c_str(),
                   inst.use_cr ? "cr" : "ic",
                   static_cast<long long>(r.weight),
                   r.feasible ? "yes" : "NO", r.stats.rounds, r.wall_ms);

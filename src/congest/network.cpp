@@ -80,15 +80,6 @@ Network::Network(const Graph& g, StaticKnowledge known, std::uint64_t seed,
   const std::size_t words = (n + 63) / 64;
   recv_bits_.assign(words, 0);
   wants_bits_.assign(words, 0);
-  tick_bits_.assign(words, 0);
-  if (!options_.active_set) {
-    // Without active-set scheduling every node ticks every round: the tick
-    // bitset is constant all-ones (masked to n) and never recomposed.
-    for (std::size_t w = 0; w < words; ++w) tick_bits_[w] = ~std::uint64_t{0};
-    if (n % 64 != 0 && words > 0) {
-      tick_bits_[words - 1] = (std::uint64_t{1} << (n % 64)) - 1;
-    }
-  }
 }
 
 Network::~Network() = default;
@@ -100,14 +91,12 @@ void Network::Start(const ProgramFactory& factory) {
     programs_.push_back(factory(v));
     DSF_CHECK(programs_.back() != nullptr);
   }
-  if (options_.active_set) {
-    // Seed the cached WantsTick bits. Program state only changes inside
-    // OnRound, so each bit stays valid until its node is next ticked.
-    std::fill(wants_bits_.begin(), wants_bits_.end(), 0);
-    for (NodeId v = 0; v < graph_.NumNodes(); ++v) {
-      if (programs_[static_cast<std::size_t>(v)]->WantsTick()) {
-        SetBit(wants_bits_, v);
-      }
+  // Seed the cached WantsTick bits. Program state only changes inside
+  // OnRound, so each bit stays valid until its node is next ticked.
+  std::fill(wants_bits_.begin(), wants_bits_.end(), 0);
+  for (NodeId v = 0; v < graph_.NumNodes(); ++v) {
+    if (programs_[static_cast<std::size_t>(v)]->WantsTick()) {
+      SetBit(wants_bits_, v);
     }
   }
 }
@@ -121,10 +110,11 @@ void Network::RegisterCut(std::span<const EdgeId> cut_edges) {
 }
 
 void Network::TickWord(int word) {
-  std::uint64_t bits = tick_bits_[static_cast<std::size_t>(word)];
+  // A node ticks iff its inbox is non-empty or it wants the tick. Only this
+  // call rewrites this word's wants bits, so the word is composed here.
+  std::uint64_t wants = wants_bits_[static_cast<std::size_t>(word)];
+  std::uint64_t bits = recv_bits_[static_cast<std::size_t>(word)] | wants;
   if (bits == 0) return;
-  const bool track = options_.active_set;
-  std::uint64_t wants = track ? wants_bits_[static_cast<std::size_t>(word)] : 0;
   const NodeId base = static_cast<NodeId>(word) * 64;
   while (bits != 0) {
     const int b = std::countr_zero(bits);
@@ -132,17 +122,15 @@ void Network::TickWord(int word) {
     const NodeId v = base + b;
     NodeApi api(*this, v);
     programs_[static_cast<std::size_t>(v)]->OnRound(api);
-    if (track) {
-      // Refresh the cached bit: state can only have changed in this tick.
-      const std::uint64_t mask = std::uint64_t{1} << b;
-      if (programs_[static_cast<std::size_t>(v)]->WantsTick()) {
-        wants |= mask;
-      } else {
-        wants &= ~mask;
-      }
+    // Refresh the cached bit: state can only have changed in this tick.
+    const std::uint64_t mask = std::uint64_t{1} << b;
+    if (programs_[static_cast<std::size_t>(v)]->WantsTick()) {
+      wants |= mask;
+    } else {
+      wants &= ~mask;
     }
   }
-  if (track) wants_bits_[static_cast<std::size_t>(word)] = wants;
+  wants_bits_[static_cast<std::size_t>(word)] = wants;
 }
 
 void Network::DeliverRound() {
@@ -246,17 +234,10 @@ void Network::DeliverRound() {
 bool Network::Step() {
   DSF_CHECK_MSG(!programs_.empty(), "Start() must be called before Step()");
 
-  // (i) + (ii): local computation and sends, driven by the tick bitset and
-  // run in ascending node order — the order Send()'s counting pass and the
-  // node-ordered delivery rely on.
-  const auto words = static_cast<int>(tick_bits_.size());
-  if (options_.active_set) {
-    for (int w = 0; w < words; ++w) {
-      tick_bits_[static_cast<std::size_t>(w)] =
-          recv_bits_[static_cast<std::size_t>(w)] |
-          wants_bits_[static_cast<std::size_t>(w)];
-    }
-  }
+  // (i) + (ii): local computation and sends, driven by the active-set
+  // bitsets and run in ascending node order — the order Send()'s counting
+  // pass and the node-ordered delivery rely on.
+  const auto words = static_cast<int>(wants_bits_.size());
   for (int w = 0; w < words; ++w) TickWord(w);
 
   // (iii): flatten this round's traffic into the delivery arena.

@@ -53,14 +53,10 @@ struct StaticKnowledge {
   std::int64_t bandwidth_bits = 0;  // per edge per round, O(log n)
 };
 
-// Scheduler configuration. Both settings of active_set produce bit-identical
-// runs (same RunStats, same marked edges, same RNG streams); they differ only
-// in wall clock. The golden-stats regression test pins this contract.
+// Run configuration. There is one schedule (the active set of
+// NodeProgram::WantsTick() plus non-empty inboxes, ticked in node order), so
+// the only option is how a run stops early.
 struct NetworkOptions {
-  // Honor NodeProgram::WantsTick(): a program reporting false is not ticked
-  // in rounds where its inbox is empty. false ticks every node every round —
-  // the reference schedule the golden tests compare against.
-  bool active_set = true;
   // Cooperative cancellation: Run() polls this between rounds and returns
   // early (stats.cancelled set) once it expires. Borrowed; may be nullptr.
   const CancelToken* cancel = nullptr;
@@ -102,7 +98,7 @@ class NodeApi {
   // Declares the incident edge part of the algorithm's output F. Idempotent.
   // Takes effect immediately; ticks run in node order, so when both
   // endpoints of an edge mark/unmark it in one round, the higher id's last
-  // call wins under every scheduler configuration.
+  // call wins.
   void MarkEdge(int local);
   void UnmarkEdge(int local);
 
@@ -110,8 +106,8 @@ class NodeApi {
   // than kChQuiesce/kChBfs (used by the quiescence detector), or -1.
   [[nodiscard]] long LastAppActivity() const noexcept;
 
-  // Phase accounting: the coordinator of a phased protocol (moat growing,
-  // Borůvka) reports completed algorithm phases so RunStats can expose them
+  // Phase accounting: the coordinator of a phased protocol (moat growing)
+  // reports completed algorithm phases so RunStats can expose them
   // alongside rounds/bits.
   void NotePhases(long phases);
 
@@ -275,8 +271,6 @@ class Network {
   // --- active-set bitsets (word-scanned, one bit per node) ----------------
   std::vector<std::uint64_t> recv_bits_;   // inbox non-empty this round
   std::vector<std::uint64_t> wants_bits_;  // cached WantsTick() per node
-  std::vector<std::uint64_t> tick_bits_;   // recv | wants (all-ones when
-                                           // active_set is off)
 
   // --- per-edge bandwidth accounting ---------------------------------------
   // Indexed by sender-side incidence slot (bijective with (edge, direction)

@@ -74,7 +74,7 @@ class TreeProgramBase : public NodeProgram {
   void OnRound(NodeApi& api) final;
   [[nodiscard]] bool Done() const final { return done_; }
 
-  // Active-set scheduling (NetworkOptions::active_set): a tree program can
+  // Active-set scheduling (NodeProgram::WantsTick): a tree program can
   // be skipped on empty-inbox rounds once it is genuinely quiescent — the
   // tree is built, no control messages are queued, the detector has nothing
   // unreported, and the derived program reports AppWantsTick() false. Until

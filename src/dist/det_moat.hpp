@@ -41,8 +41,7 @@ struct DetMoatOptions {
   // Edges whose traffic the simulator meters separately (lower-bound
   // harness, Section 3).
   std::vector<EdgeId> metered_cut;
-  // Simulator scheduling (active-set / threads); every setting is
-  // bit-identical, see DESIGN.md §2.
+  // Simulator run options (cancellation; DESIGN.md §2).
   NetworkOptions net;
 };
 

@@ -9,8 +9,8 @@
 // its ancestor along the LE via-pointers, marking the traversed edges.
 //
 // Stage 2 (substituted): with truncated propagation (hop budget ~ √n, the
-// regime s² > n, or force_truncated) the clusters of a component may remain
-// disconnected. The F-reduced instance on the per-component cluster
+// regime s² > n, or Embedding::kTruncated) the clusters of a component may
+// remain disconnected. The F-reduced instance on the per-component cluster
 // representatives is then solved on a greedy metric spanner
 // (GreedyMetricSpanner, see DESIGN.md "Substitutions") and the chosen
 // spanner edges are realized as least-weight paths; the substituted work is
@@ -29,16 +29,17 @@
 namespace dsf {
 
 struct RandomizedOptions {
+  // Which LE-list embedding to build: kAuto truncates at the hop budget iff
+  // s² > n (the min{s, √n} term of Theorem 5.2); kFull and kTruncated force
+  // one regime regardless of s vs √n (the A1 ablation).
+  enum class Embedding { kAuto, kFull, kTruncated };
+
   // Number of independent repetitions; the lightest forest wins.
   int repetitions = 1;
-  // Force the truncated (hop-budgeted) embedding regardless of s vs √n.
-  bool force_truncated = false;
-  // Force full propagation (disables the min{s, √n} truncation).
-  bool force_full = false;
+  Embedding embedding = Embedding::kAuto;
   // Edges whose traffic the simulator meters separately (Section 3 harness).
   std::vector<EdgeId> metered_cut;
-  // Simulator scheduling (active-set / threads); every setting is
-  // bit-identical, see DESIGN.md §2.
+  // Simulator run options (cancellation; DESIGN.md §2).
   NetworkOptions net;
 };
 
@@ -59,8 +60,8 @@ RandomizedResult RunRandomizedSteinerForest(const Graph& g,
 
 // Baseline: runs the full selection pipeline once per input component and
 // unions the outputs — the per-component repetition our filtered single pass
-// avoids (compare rounds). `net_opts` selects the simulator scheduling
-// (bit-identical, DESIGN.md §2).
+// avoids (compare rounds). `net_opts` carries the simulator run options
+// (cancellation, DESIGN.md §2).
 RandomizedResult RunKhanBaseline(const Graph& g, const IcInstance& ic,
                                  std::uint64_t seed = 1,
                                  const NetworkOptions& net_opts = {});

@@ -180,11 +180,13 @@ TransformResult RunDistributedCrToIc(const Graph& g, const CrInstance& cr,
 
 TransformResult RunDistributedMakeMinimal(const Graph& g, const IcInstance& ic,
                                           std::uint64_t seed,
-                                          const NetworkOptions& net_opts) {
+                                          const NetworkOptions& net_opts,
+                                          std::span<const EdgeId> metered_cut) {
   DSF_CHECK(ic.NumNodes() == g.NumNodes());
   const StaticKnowledge known = detail::KnownOrThrow(g);
 
   Network net(g, known, seed, net_opts);
+  net.RegisterCut(metered_cut);
   net.Start([&](NodeId v) {
     return std::make_unique<MakeMinimalProgram>(v, ic.LabelOf(v));
   });

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "congest/network.hpp"
 #include "steiner/instance.hpp"
@@ -32,14 +33,16 @@ struct TransformResult {
 
 // Lemma 2.3: the equivalent DSF-IC instance of a DSF-CR instance, computed
 // distributively. Labels are the smallest terminal id per request component.
-// `net_opts` selects the simulator scheduling (bit-identical, DESIGN.md §2).
+// `net_opts` carries the simulator run options (cancellation, DESIGN.md §2).
 TransformResult RunDistributedCrToIc(const Graph& g, const CrInstance& cr,
                                      std::uint64_t seed = 1,
                                      const NetworkOptions& net_opts = {});
 
 // Lemma 2.4: drops labels held by a single terminal, distributively.
-TransformResult RunDistributedMakeMinimal(const Graph& g, const IcInstance& ic,
-                                          std::uint64_t seed = 1,
-                                          const NetworkOptions& net_opts = {});
+// Traffic over `metered_cut` is metered separately (Section 3 harness).
+TransformResult RunDistributedMakeMinimal(
+    const Graph& g, const IcInstance& ic, std::uint64_t seed = 1,
+    const NetworkOptions& net_opts = {},
+    std::span<const EdgeId> metered_cut = {});
 
 }  // namespace dsf

@@ -55,8 +55,8 @@ struct SolveOptions {
   // Solve the instance exactly as well and report the approximation ratio.
   // Subject to the exact solver's hard limits — small instances only.
   bool compute_reference = false;
-  // Simulator scheduling for the distributed solvers (active-set, run
-  // cancellation); every setting is bit-identical, see DESIGN.md §2.
+  // Simulator run options for the distributed solvers (run cancellation;
+  // DESIGN.md §2).
   NetworkOptions net;
   // Portfolio racing width (0 = hardware concurrency), clamped to the
   // roster size; every other solver ignores it. BatchEngine forces 1 when

@@ -75,8 +75,10 @@ SuiteBaseline RunSuite(const SuiteManifest& manifest,
 
   // Flatten the matrix in baseline order (solver-major, then source /
   // case / instance declaration order) and derive the per-cell seeds. The
-  // digest pins the manifest, the manifest pins this enumeration, so cell k
-  // always replays seed DeriveSeed(suite seed, k).
+  // seed belongs to the (case, instance), not to the cell: every solver on
+  // the k-th instance replays DeriveSeed(suite seed, k), so adding a roster
+  // entry reshuffles no other cell, and dist-rand(reps=2N) re-runs the N
+  // repetitions of dist-rand(reps=N) before its extra ones.
   struct CellRef {
     const WorkloadCase* wc = nullptr;
     const WorkloadInstance* inst = nullptr;
@@ -84,6 +86,7 @@ SuiteBaseline RunSuite(const SuiteManifest& manifest,
   std::vector<CellRef> refs;
   std::vector<SolveRequest> requests;
   for (const std::string& solver : manifest.solvers) {
+    std::uint64_t instance_index = 0;
     for (const ExpandedSource& src : sources) {
       for (const WorkloadCase& wc : src.workload.cases) {
         for (const WorkloadInstance& inst : wc.instances) {
@@ -96,7 +99,7 @@ SuiteBaseline RunSuite(const SuiteManifest& manifest,
           } else {
             req.ic = inst.ic;
           }
-          req.seed = DeriveSeed(manifest.seed, requests.size());
+          req.seed = DeriveSeed(manifest.seed, instance_index++);
           requests.push_back(std::move(req));
           refs.push_back({&wc, &inst});
         }

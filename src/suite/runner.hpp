@@ -9,9 +9,11 @@
 //   * timing — p50/p95 wall milliseconds across `timing_reps` repetitions
 //     of the whole matrix. Timing is machine-dependent and only ever
 //     compared within the banded tolerance policy.
-// Per-cell seeds derive from the suite seed and the cell's position, NOT
-// from the BatchEngine's master-seed knob: every repetition must replay the
-// identical seed per cell or the reps would not be comparable.
+// Per-cell seeds derive from the suite seed and the (case, instance)
+// position, so every solver on one instance shares its seed, as portfolio
+// members do. They do NOT come from the BatchEngine's master-seed knob:
+// every timing repetition must replay the identical seed per cell or the
+// reps would not be comparable.
 #pragma once
 
 #include <cstdint>

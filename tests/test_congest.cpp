@@ -125,7 +125,7 @@ TEST(NetworkTest, MarkedEdgesCollected) {
 
 // Both endpoints of one edge (u, v), u < v, touch it in the same round with
 // opposite intents: ticks run in node order, so v's call lands last and
-// decides the outcome under both schedulers.
+// decides the outcome.
 TEST(NetworkTest, SameRoundMarkConflictResolvesToHigherId) {
   class Toggler : public NodeProgram {
    public:
@@ -147,20 +147,17 @@ TEST(NetworkTest, SameRoundMarkConflictResolvesToHigherId) {
     bool done_ = false;
   };
   const Graph g = MakePath(2);  // edge 0: (0, 1)
-  for (const bool active_set : {false, true}) {
-    for (const bool low_marks : {true, false}) {
-      Network net(g, KnownFor(g), 1, NetworkOptions{active_set});
-      net.Start([&](NodeId v) {
-        return std::make_unique<Toggler>(v == 0 ? low_marks : !low_marks);
-      });
-      net.Run(5);
-      SCOPED_TRACE(testing::Message() << "active_set=" << active_set
-                                      << " low_marks=" << low_marks);
-      if (low_marks) {
-        EXPECT_TRUE(net.MarkedEdges().empty());  // u marks, v unmarks
-      } else {
-        EXPECT_EQ(net.MarkedEdges(), std::vector<EdgeId>{0});  // u unmarks, v marks
-      }
+  for (const bool low_marks : {true, false}) {
+    Network net(g, KnownFor(g), 1);
+    net.Start([&](NodeId v) {
+      return std::make_unique<Toggler>(v == 0 ? low_marks : !low_marks);
+    });
+    net.Run(5);
+    SCOPED_TRACE(testing::Message() << "low_marks=" << low_marks);
+    if (low_marks) {
+      EXPECT_TRUE(net.MarkedEdges().empty());  // u marks, v unmarks
+    } else {
+      EXPECT_EQ(net.MarkedEdges(), std::vector<EdgeId>{0});  // u unmarks, v marks
     }
   }
 }

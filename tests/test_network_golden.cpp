@@ -3,8 +3,8 @@
 // the pre-refactor simulator (O(m)-allocation rounds, adjacency-scan
 // delivery, tick-everyone scheduling); the rearchitected hot loop — mirror
 // incidence, dirty-list accounting, active-set scheduling — must reproduce
-// every one of them exactly, under every scheduler configuration. A drift in rounds, messages, bits, or the marked-edge set
-// is a correctness bug, not a tuning artifact.
+// every one of them exactly. A drift in rounds, messages, bits, or the
+// marked-edge set is a correctness bug, not a tuning artifact.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -16,18 +16,12 @@
 #include "congest/network.hpp"
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
+#include "dist/transform.hpp"
 #include "graph/generators.hpp"
 #include "steiner/instance.hpp"
 
 namespace dsf {
 namespace {
-
-// The two scheduler configurations under test: the tick-everyone reference
-// schedule and active-set scheduling.
-const NetworkOptions kSequential{/*active_set=*/false};
-const NetworkOptions kActiveSet{/*active_set=*/true};
-
-const NetworkOptions kAllConfigs[] = {kSequential, kActiveSet};
 
 IcInstance SpreadTerminals(int n, int k, SplitMix64& rng) {
   std::vector<std::pair<NodeId, Label>> assign;
@@ -59,57 +53,101 @@ void ExpectStats(const RunStats& s, long rounds, long messages,
 }
 
 // Deterministic run: the moat-growing protocol on a fixed random topology.
-TEST(NetworkGoldenTest, DeterministicMoatPinnedUnderAllSchedulers) {
+TEST(NetworkGoldenTest, DeterministicMoatPinned) {
   SplitMix64 rng(7);
   const Graph g = MakeConnectedRandom(24, 0.2, 1, 16, rng);
   const IcInstance ic = SpreadTerminals(24, 3, rng);
   ASSERT_EQ(g.NumEdges(), 75);
 
-  const std::vector<EdgeId> want_raw{9, 25, 52, 50, 20, 6, 43};
-  const std::vector<EdgeId> want_forest{6, 9, 20, 25, 43, 50, 52};
-  for (const auto& net_opts : kAllConfigs) {
-    DetMoatOptions opts;
-    opts.net = net_opts;
-    const auto res = RunDistributedMoat(g, ic, opts, 5);
-    SCOPED_TRACE(testing::Message() << "active_set=" << net_opts.active_set);
-    ExpectStats(res.stats, /*rounds=*/68, /*messages=*/1916,
-                /*total_bits=*/35828, /*max_bits=*/120, /*charged=*/0,
-                /*phases=*/1);
-    EXPECT_EQ(res.raw_forest, want_raw);
-    EXPECT_EQ(res.forest, want_forest);
-    EXPECT_EQ(res.dual_sum, 135168);
-    EXPECT_EQ(res.phases, 1);
-  }
+  const auto res = RunDistributedMoat(g, ic, {}, 5);
+  ExpectStats(res.stats, /*rounds=*/68, /*messages=*/1916,
+              /*total_bits=*/35828, /*max_bits=*/120, /*charged=*/0,
+              /*phases=*/1);
+  EXPECT_EQ(res.raw_forest, (std::vector<EdgeId>{9, 25, 52, 50, 20, 6, 43}));
+  EXPECT_EQ(res.forest, (std::vector<EdgeId>{6, 9, 20, 25, 43, 50, 52}));
+  EXPECT_EQ(res.dual_sum, 135168);
+  EXPECT_EQ(res.phases, 1);
 }
 
-// Randomized run: per-node RNG streams, embedding ranks, and token routing
-// must all be scheduler-independent.
-TEST(NetworkGoldenTest, RandomizedPinnedUnderAllSchedulers) {
+// Randomized run: per-node RNG streams, embedding ranks, and token routing.
+TEST(NetworkGoldenTest, RandomizedPinned) {
   SplitMix64 rng(11);
   const Graph g = MakeConnectedRandom(20, 0.25, 1, 12, rng);
   const IcInstance ic = SpreadTerminals(20, 2, rng);
   ASSERT_EQ(g.NumEdges(), 52);
 
-  const std::vector<EdgeId> want_forest{1, 4, 12, 18, 20, 27, 28, 33};
-  for (const auto& net_opts : kAllConfigs) {
-    RandomizedOptions opts;
-    opts.repetitions = 1;
-    opts.net = net_opts;
-    const auto res = RunRandomizedSteinerForest(g, ic, opts, 9);
-    SCOPED_TRACE(testing::Message() << "active_set=" << net_opts.active_set);
-    ExpectStats(res.stats, /*rounds=*/47, /*messages=*/816,
-                /*total_bits=*/36595, /*max_bits=*/175, /*charged=*/10,
+  const auto res = RunRandomizedSteinerForest(g, ic, {}, 9);
+  ExpectStats(res.stats, /*rounds=*/47, /*messages=*/816,
+              /*total_bits=*/36595, /*max_bits=*/175, /*charged=*/10,
+              /*phases=*/0);
+  EXPECT_EQ(res.forest, (std::vector<EdgeId>{1, 4, 12, 18, 20, 27, 28, 33}));
+  EXPECT_EQ(res.le_rounds, 17);
+  EXPECT_EQ(res.reduced_terminals, 0);
+}
+
+// The two input transforms (Lemmas 2.3 / 2.4) on the ER n = 80, D = 5
+// family of test_transform.cpp's round budgets. Captured under both the
+// tick-everyone and the active-set schedule, which agreed field for field.
+TEST(NetworkGoldenTest, TransformsPinned) {
+  constexpr int kN = 80;
+  {
+    SplitMix64 rng(1234);
+    const Graph g = MakeConnectedRandom(kN, 0.06, 1, 9, rng);
+    ASSERT_EQ(g.NumEdges(), 245);
+    SplitMix64 prng(16);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 16; ++i) {
+      const auto u = static_cast<NodeId>(prng.NextBelow(kN));
+      const auto v = static_cast<NodeId>(prng.NextBelow(kN));
+      if (u != v) pairs.push_back({u, v});
+    }
+    const auto res = RunDistributedCrToIc(g, MakeCrInstance(kN, pairs));
+    ExpectStats(res.stats, /*rounds=*/48, /*messages=*/2553,
+                /*total_bits=*/48538, /*max_bits=*/79, /*charged=*/0,
                 /*phases=*/0);
-    EXPECT_EQ(res.forest, want_forest);
-    EXPECT_EQ(res.le_rounds, 17);
-    EXPECT_EQ(res.reduced_terminals, 0);
+    EXPECT_EQ(res.instance.labels,
+              MakeIcInstance(kN, {{5, 5},   {9, 9},   {15, 15}, {17, 15},
+                                  {23, 15}, {25, 15}, {26, 9},  {28, 5},
+                                  {33, 33}, {36, 36}, {43, 15}, {44, 33},
+                                  {45, 5},  {46, 33}, {54, 5},  {55, 15},
+                                  {62, 36}, {68, 9},  {72, 15}, {75, 5},
+                                  {77, 5}})
+                  .labels);
+  }
+  {
+    SplitMix64 rng(777);
+    const Graph g = MakeConnectedRandom(kN, 0.06, 1, 9, rng);
+    ASSERT_EQ(g.NumEdges(), 241);
+    // Components 1, 3, 5, 7 hold two terminals; the even ones are
+    // singletons, which the transform drops.
+    SplitMix64 trng(40);
+    std::vector<std::pair<NodeId, Label>> assign;
+    std::vector<char> used(kN, 0);
+    const auto fresh = [&] {
+      NodeId v = 0;
+      do {
+        v = static_cast<NodeId>(trng.NextBelow(kN));
+      } while (used[static_cast<std::size_t>(v)]);
+      used[static_cast<std::size_t>(v)] = 1;
+      return v;
+    };
+    for (Label c = 1; c <= 8; ++c) {
+      assign.push_back({fresh(), c});
+      if (c % 2 == 1) assign.push_back({fresh(), c});
+    }
+    const auto res = RunDistributedMakeMinimal(g, MakeIcInstance(kN, assign));
+    ExpectStats(res.stats, /*rounds=*/22, /*messages=*/1125,
+                /*total_bits=*/16689, /*max_bits=*/78, /*charged=*/0,
+                /*phases=*/0);
+    EXPECT_EQ(res.instance.labels,
+              MakeIcInstance(kN, {{11, 1}, {18, 1}, {24, 7}, {26, 5}, {33, 7},
+                                  {50, 5}, {58, 3}, {68, 3}})
+                  .labels);
   }
 }
 
-// Network-level cross-config equality with a program that exercises RNG
-// draws, marking/unmarking, and irregular sending — no protocol scaffolding
-// in the way. Both schedulers must agree field by field, and with the
-// absolute values pinned below.
+// A program that exercises RNG draws, marking/unmarking, and irregular
+// sending — no protocol scaffolding in the way — pinned to absolute values.
 class ChurnProgram : public NodeProgram {
  public:
   explicit ChurnProgram(NodeId id) : id_(id) {}
@@ -140,32 +178,19 @@ class ChurnProgram : public NodeProgram {
   bool done_ = false;
 };
 
-TEST(NetworkGoldenTest, ChurnProgramAgreesAcrossSchedulers) {
+TEST(NetworkGoldenTest, ChurnProgramPinned) {
   SplitMix64 rng(21);
   const Graph g = MakeConnectedRandom(40, 0.12, 1, 9, rng);
   StaticKnowledge known;
   known.n = g.NumNodes();
   known.diameter_bound = 10;
 
-  std::vector<RunStats> stats;
-  std::vector<std::vector<EdgeId>> marked;
-  for (const auto& net_opts : kAllConfigs) {
-    Network net(g, known, /*seed=*/77, net_opts);
-    net.Start([](NodeId v) { return std::make_unique<ChurnProgram>(v); });
-    stats.push_back(net.Run(100));
-    marked.push_back(net.MarkedEdges());
-  }
-  for (std::size_t i = 1; i < stats.size(); ++i) {
-    EXPECT_EQ(stats[i].rounds, stats[0].rounds);
-    EXPECT_EQ(stats[i].messages, stats[0].messages);
-    EXPECT_EQ(stats[i].total_bits, stats[0].total_bits);
-    EXPECT_EQ(stats[i].max_bits_per_edge_round,
-              stats[0].max_bits_per_edge_round);
-    EXPECT_EQ(marked[i], marked[0]);
-  }
-  // Absolute golden: mark/unmark races between the two endpoints of an
-  // edge resolve in node order, so the final edge set is pinned exactly.
-  ExpectStats(stats[0], /*rounds=*/13, /*messages=*/152, /*total_bits=*/3662,
+  Network net(g, known, /*seed=*/77);
+  net.Start([](NodeId v) { return std::make_unique<ChurnProgram>(v); });
+  const RunStats stats = net.Run(100);
+  // Mark/unmark races between the two endpoints of an edge resolve in node
+  // order, so the final edge set is pinned exactly.
+  ExpectStats(stats, /*rounds=*/13, /*messages=*/152, /*total_bits=*/3662,
               /*max_bits=*/28, /*charged=*/0, /*phases=*/0);
   const std::vector<EdgeId> want_marked{
       0,   1,   2,   4,   5,   7,   8,   10,  12,  14,  15,  17,  21,
@@ -174,7 +199,7 @@ TEST(NetworkGoldenTest, ChurnProgramAgreesAcrossSchedulers) {
       61,  63,  67,  68,  69,  71,  77,  83,  84,  85,  87,  90,  91,
       92,  95,  97,  98,  102, 105, 106, 107, 109, 110, 111, 112, 117,
       118, 119, 120, 121, 122, 124, 126, 128, 131};
-  EXPECT_EQ(marked[0], want_marked);
+  EXPECT_EQ(net.MarkedEdges(), want_marked);
 }
 
 // Arena-delivery golden: a program that hammers exactly the surfaces the
@@ -185,7 +210,7 @@ TEST(NetworkGoldenTest, ChurnProgramAgreesAcrossSchedulers) {
 // inbox order, into a running checksum. The pinned RunStats and checksum
 // were captured from the pre-arena simulator (per-node inbox vectors,
 // recycled outboxes); the SoA arena with prefix-sum receiver offsets must
-// reproduce them bit for bit under both schedulers: any change to
+// reproduce them bit for bit: any change to
 // delivery order, payload bytes, accounting, or activity tracking moves the
 // checksum.
 class ArenaStressProgram : public NodeProgram {
@@ -240,7 +265,7 @@ class ArenaStressProgram : public NodeProgram {
   bool done_ = false;
 };
 
-TEST(NetworkGoldenTest, ArenaDeliveryPinnedUnderAllSchedulers) {
+TEST(NetworkGoldenTest, ArenaDeliveryPinned) {
   SplitMix64 rng(31);
   const Graph g = MakeConnectedRandom(48, 0.14, 1, 21, rng);
   ASSERT_EQ(g.NumEdges(), 200);
@@ -249,29 +274,25 @@ TEST(NetworkGoldenTest, ArenaDeliveryPinnedUnderAllSchedulers) {
   known.diameter_bound = 8;
   known.bandwidth_bits = 1 << 12;  // roomy: several wide messages per edge
 
-  for (const auto& net_opts : kAllConfigs) {
-    Network net(g, known, /*seed=*/5, net_opts);
-    net.Start([](NodeId v) { return std::make_unique<ArenaStressProgram>(v); });
-    const auto stats = net.Run(100);
-    SCOPED_TRACE(testing::Message() << "active_set=" << net_opts.active_set);
-    ExpectStats(stats, /*rounds=*/11, /*messages=*/9317,
-                /*total_bits=*/419806, /*max_bits=*/216, /*charged=*/0,
-                /*phases=*/0);
-    std::uint64_t combined = 0;
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      combined = Mix64(
-          combined ^
-          dynamic_cast<ArenaStressProgram&>(net.ProgramAt(v)).sum_);
-    }
-    EXPECT_EQ(combined, 2579996461171503996ULL);
-    const auto marked = net.MarkedEdges();
-    EXPECT_EQ(marked.size(), 137u);
-    std::uint64_t marked_sum = 0;
-    for (const EdgeId e : marked) {
-      marked_sum = Mix64(marked_sum ^ static_cast<std::uint64_t>(e));
-    }
-    EXPECT_EQ(marked_sum, 10107931410210139188ULL);
+  Network net(g, known, /*seed=*/5);
+  net.Start([](NodeId v) { return std::make_unique<ArenaStressProgram>(v); });
+  const auto stats = net.Run(100);
+  ExpectStats(stats, /*rounds=*/11, /*messages=*/9317,
+              /*total_bits=*/419806, /*max_bits=*/216, /*charged=*/0,
+              /*phases=*/0);
+  std::uint64_t combined = 0;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    combined = Mix64(
+        combined ^ dynamic_cast<ArenaStressProgram&>(net.ProgramAt(v)).sum_);
   }
+  EXPECT_EQ(combined, 2579996461171503996ULL);
+  const auto marked = net.MarkedEdges();
+  EXPECT_EQ(marked.size(), 137u);
+  std::uint64_t marked_sum = 0;
+  for (const EdgeId e : marked) {
+    marked_sum = Mix64(marked_sum ^ static_cast<std::uint64_t>(e));
+  }
+  EXPECT_EQ(marked_sum, 10107931410210139188ULL);
 }
 
 // Inbox ordering is part of the reproducibility contract the arena's
@@ -308,18 +329,16 @@ TEST(NetworkGoldenTest, InboxOrderedBySenderThenSendOrder) {
   StaticKnowledge known;
   known.n = g.NumNodes();
   known.diameter_bound = 2;
-  for (const auto& net_opts : kAllConfigs) {
-    Network net(g, known, /*seed=*/3, net_opts);
-    net.Start([](NodeId v) { return std::make_unique<ToCenter>(v); });
-    net.Run(10);
-    const auto& center = dynamic_cast<ToCenter&>(net.ProgramAt(0));
-    std::vector<std::pair<std::int64_t, std::int64_t>> want;
-    for (std::int64_t v = 1; v <= 5; ++v) {
-      want.push_back({v, 100});
-      want.push_back({v, 200});
-    }
-    EXPECT_EQ(center.order, want);
+  Network net(g, known, /*seed=*/3);
+  net.Start([](NodeId v) { return std::make_unique<ToCenter>(v); });
+  net.Run(10);
+  const auto& center = dynamic_cast<ToCenter&>(net.ProgramAt(0));
+  std::vector<std::pair<std::int64_t, std::int64_t>> want;
+  for (std::int64_t v = 1; v <= 5; ++v) {
+    want.push_back({v, 100});
+    want.push_back({v, 200});
   }
+  EXPECT_EQ(center.order, want);
 }
 
 // The default-bandwidth computation must survive n near the int limit (it

@@ -110,10 +110,49 @@ TEST(RandomizedTest, ForcedTruncationAlsoFeasible) {
   const Graph g = MakeConnectedRandom(24, 0.15, 1, 12, rng);
   const IcInstance ic = MakeIcInstance(24, {{0, 1}, {11, 1}, {6, 2}, {19, 2}});
   RandomizedOptions opts;
-  opts.force_truncated = true;
+  opts.embedding = RandomizedOptions::Embedding::kTruncated;
   const auto res = RunRandomizedSteinerForest(g, ic, opts, 9);
   EXPECT_TRUE(res.truncated);
   EXPECT_TRUE(IsFeasible(g, ic, res.forest));
+}
+
+// A1: the √n truncation of the LE-list embedding (the min{s, √n} term of
+// Theorem 5.2) on high-s graphs — a 16-node ER graph with every edge
+// subdivided into 4 / 8 / 16 pieces, two components on the original nodes.
+// The truncated embedding took 51 / 88 / 160 rounds against the full one's
+// 57 / 114 / 206 (total rounds 146/160, 245/271, 461/523).
+TEST(RandomizedTest, TruncatedEmbeddingTakesFewerRoundsThanFull) {
+  SplitMix64 rng(99);
+  const Graph base = MakeConnectedRandom(16, 0.2, 1, 6, rng);
+  SplitMix64 trng(5);
+  std::vector<std::pair<NodeId, Label>> assign;
+  std::vector<char> used(16, 0);
+  for (Label c = 1; c <= 2; ++c) {
+    for (int j = 0; j < 2; ++j) {
+      NodeId v = 0;
+      do {
+        v = static_cast<NodeId>(trng.NextBelow(16));
+      } while (used[static_cast<std::size_t>(v)]);
+      used[static_cast<std::size_t>(v)] = 1;
+      assign.push_back({v, c});
+    }
+  }
+  RandomizedOptions truncated;
+  truncated.embedding = RandomizedOptions::Embedding::kTruncated;
+  RandomizedOptions full;
+  full.embedding = RandomizedOptions::Embedding::kFull;
+  for (const int pieces : {4, 8, 16}) {
+    const Graph g = SubdivideEdges(base, pieces);
+    const IcInstance ic = MakeIcInstance(g.NumNodes(), assign);
+    const auto with = RunRandomizedSteinerForest(g, ic, truncated, 1);
+    const auto without = RunRandomizedSteinerForest(g, ic, full, 1);
+    SCOPED_TRACE(testing::Message() << "pieces=" << pieces);
+    EXPECT_TRUE(with.truncated);
+    EXPECT_FALSE(without.truncated);
+    EXPECT_LT(with.le_rounds, without.le_rounds);
+    EXPECT_TRUE(IsFeasible(g, ic, with.forest));
+    EXPECT_TRUE(IsFeasible(g, ic, without.forest));
+  }
 }
 
 TEST(RandomizedTest, EmptyInstance) {

@@ -542,5 +542,38 @@ TEST(SuiteCorpusTest, CommittedApproxBaselineHoldsThePaperBounds) {
   EXPECT_EQ(all_terminal, 3 * static_cast<int>(det.size()));
 }
 
+// Every solver on one (case, instance) shares its seed, so
+// dist-rand(reps=2N) re-runs the N repetitions of dist-rand(reps=N) and keeps
+// the lightest: on the committed approx baseline its cost never rises.
+TEST(SuiteCorpusTest, CommittedApproxRepetitionsNeverRaiseCost) {
+  const std::string root = DSF_SOURCE_DIR;
+  const SuiteBaseline b = LoadSuiteBaseline(root + "/bench/SUITE_approx.json");
+  const std::string prefix = "dist-rand(reps=";
+  std::map<std::pair<std::string, std::string>, std::map<int, long long>>
+      cost_by_reps;
+  for (const SuiteCell& c : b.cells) {
+    int reps = 0;
+    if (c.solver == "dist-rand") {
+      reps = 1;
+    } else if (c.solver.rfind(prefix, 0) == 0) {
+      reps = std::stoi(c.solver.substr(prefix.size()));
+    } else {
+      continue;
+    }
+    cost_by_reps[{c.case_name, c.instance}][reps] = c.cost;
+  }
+  ASSERT_EQ(cost_by_reps.size(), 43u);
+  int steps = 0;
+  for (const auto& [key, costs] : cost_by_reps) {
+    ASSERT_EQ(costs.size(), 4u) << key.first;
+    for (const int reps : {1, 2, 4}) {
+      EXPECT_LE(costs.at(2 * reps), costs.at(reps))
+          << key.first << " / " << key.second << " reps " << reps;
+      ++steps;
+    }
+  }
+  EXPECT_EQ(steps, 129);
+}
+
 }  // namespace
 }  // namespace dsf
