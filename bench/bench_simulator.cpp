@@ -11,6 +11,9 @@
 //     speedup target is stated over, where the active set additionally
 //     skips quiescent nodes.
 //
+// GraphParameters times the exact (D, WD, s) sweep that hands every node
+// its static knowledge (footnote 2) on the first distributed run on a graph.
+//
 // Pre-refactor reference numbers (same machine, RelWithDebInfo — the
 // default build type — the seed simulator at commit 89e4cf6) are recorded
 // in README.md "Performance".
@@ -18,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,6 +32,7 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "steiner/instance.hpp"
+#include "workload/generators.hpp"
 
 namespace dsf {
 namespace {
@@ -198,6 +203,61 @@ void BM_RandLargestN(benchmark::State& state) {
   ReportGraphParams(state, g);
 }
 BENCHMARK(BM_RandLargestN)->Unit(benchmark::kMillisecond);
+
+// The nine graph shapes of perfbench's congest-paper ladder, one fixed seed
+// each: the uncached ComputeParameters sweep, which the first dist-det or
+// dist-rand run on a graph pays through CachedParameters. The sweep fans out
+// over threads, so iterations are timed by wall clock.
+using ParamList = std::vector<std::pair<std::string, std::string>>;
+void BM_GraphParameters(benchmark::State& state, const char* family,
+                        const ParamList& params) {
+  const Graph g = BuildGenerator(family, params, /*seed=*/101);
+  GraphParameters p;
+  for (auto _ : state) {
+    p = ComputeParameters(g);
+    benchmark::DoNotOptimize(p);
+  }
+  state.counters["n"] = g.NumNodes();
+  state.counters["m"] = g.NumEdges();
+  state.counters["D"] = p.unweighted_diameter;
+  state.counters["s"] = p.shortest_path_diameter;
+}
+BENCHMARK_CAPTURE(BM_GraphParameters, grid20, "grid",
+                  ParamList{{"rows", "20"}, {"cols", "20"}, {"max_w", "8"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, grid28, "grid",
+                  ParamList{{"rows", "28"}, {"cols", "28"}, {"max_w", "8"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, grid36, "grid",
+                  ParamList{{"rows", "36"}, {"cols", "36"}, {"max_w", "8"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, subdivided_er48, "subdivided-er",
+                  ParamList{{"n", "48"}, {"p", "0.1"}, {"pieces", "6"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, subdivided_er64, "subdivided-er",
+                  ParamList{{"n", "64"}, {"p", "0.08"}, {"pieces", "6"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, er500, "er",
+                  ParamList{{"n", "500"}, {"p", "0.012"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, er1000, "er",
+                  ParamList{{"n", "1000"}, {"p", "0.006"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, power_law600, "power-law",
+                  ParamList{{"n", "600"}, {"m", "2"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GraphParameters, power_law1500, "power-law",
+                  ParamList{{"n", "1500"}, {"m", "2"}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dsf

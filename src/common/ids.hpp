@@ -22,6 +22,14 @@ inline constexpr NodeId kNoNode = -1;
 inline constexpr EdgeId kNoEdge = -1;
 inline constexpr Label kNoLabel = -1;
 inline constexpr Weight kInfWeight = std::numeric_limits<Weight>::max() / 4;
+
+// Cap on a graph's total edge weight, enforced by the text grammars (with
+// origin:line errors) and by Graph::Finalize. Any path or edge subset weighs
+// at most 2^48, so every path sum d + w (<= 2^49), every WeightOf and the sum
+// of two such weights stay below kInfWeight (2^61 - 1), and ToFixed of a path
+// or dual sum (shift 12, <= 2^60) stays inside int64. Generated graphs reach
+// at most ~2^46 (workload/generators.cpp).
+inline constexpr Weight kMaxTotalWeight = Weight{1} << 48;
 inline constexpr Real kInfReal = std::numeric_limits<Real>::max() / 4;
 
 }  // namespace dsf

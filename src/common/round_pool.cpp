@@ -1,10 +1,16 @@
-#include "solve/round_pool.hpp"
+#include "common/round_pool.hpp"
 
 #include <algorithm>
 
 #include "common/check.hpp"
 
-namespace dsf::detail {
+namespace dsf {
+
+int HardwareThreads() noexcept {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+namespace detail {
 
 RoundPool::RoundPool(int threads) : executors_(threads) {
   // The calling thread participates in ParallelFor, so `threads` total
@@ -95,4 +101,5 @@ void RoundPool::ParallelFor(int n, const std::function<void(int)>& task) {
   }
 }
 
-}  // namespace dsf::detail
+}  // namespace detail
+}  // namespace dsf

@@ -1,6 +1,7 @@
-// Minimal reusable thread pool behind the request-level parallelism: the
-// BatchEngine fans requests out across it and the portfolio races its
-// roster on it. Executors (the calling thread plus threads - 1 workers)
+// Minimal reusable thread pool behind every fan-out in the library: the
+// BatchEngine spreads requests across it, the portfolio races its roster on
+// it, and the graph-parameter sweep (graph/properties.cpp) splits its
+// sources over it. Executors (the calling thread plus threads - 1 workers)
 // pull contiguous index chunks off a shared cursor; results must not depend
 // on which executor ran an index.
 #pragma once
@@ -13,7 +14,14 @@
 #include <thread>
 #include <vector>
 
-namespace dsf::detail {
+namespace dsf {
+
+// The machine's hardware thread count, at least 1 (the standard allows
+// std::thread::hardware_concurrency() to report 0 when it cannot tell). The
+// one place the library reads it.
+[[nodiscard]] int HardwareThreads() noexcept;
+
+namespace detail {
 
 class RoundPool {
  public:
@@ -46,4 +54,5 @@ class RoundPool {
   std::exception_ptr first_error_;
 };
 
-}  // namespace dsf::detail
+}  // namespace detail
+}  // namespace dsf

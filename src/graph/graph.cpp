@@ -19,6 +19,12 @@ EdgeId Graph::AddEdge(NodeId u, NodeId v, Weight w) {
 
 void Graph::Finalize() {
   DSF_CHECK(!finalized_);
+  Weight total = 0;
+  for (const auto& e : edges_) {
+    DSF_CHECK_MSG(e.w <= kMaxTotalWeight - total,
+                  "total edge weight exceeds " << kMaxTotalWeight);
+    total += e.w;
+  }
   std::fill(adj_index_.begin(), adj_index_.end(), 0);
   for (const auto& e : edges_) {
     ++adj_index_[static_cast<std::size_t>(e.u) + 1];

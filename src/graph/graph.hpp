@@ -48,6 +48,7 @@ class Graph {
   EdgeId AddEdge(NodeId u, NodeId v, Weight w);
 
   // Must be called once after all AddEdge calls; builds the CSR adjacency.
+  // The total edge weight must not exceed kMaxTotalWeight (common/ids.hpp).
   void Finalize();
 
   [[nodiscard]] int NumNodes() const noexcept { return n_; }

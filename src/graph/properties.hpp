@@ -20,10 +20,13 @@ struct GraphParameters {
 // flat (neighbor, weight) CSR gives D, and a Dijkstra on a radix heap keyed
 // by distance gives WD and s. Weights are >= 1, so a node's min-hop count
 // among least-weight paths is final when it is popped and hop ties need no
-// heap key. O(n * m * log C) time for largest distance C (a heap entry
-// moves down at most log C buckets), O(n + m) memory reused across
-// sources. D, WD and s range over reachable pairs; `connected` reports
-// whether that is every pair.
+// heap key. O(n * m * log C) work for largest distance C (a heap entry
+// moves down at most log C buckets). The sources split into blocks of at
+// most 32 that run on up to HardwareThreads() threads; a graph of at most
+// 32 nodes runs inline. Each block owns its O(n) buffers, so memory is
+// O(W * n + m) at width W. The result is the max over blocks, bit-identical
+// at every width. D, WD and s range over reachable pairs; `connected`
+// (from source 0's BFS) reports whether that is every pair.
 GraphParameters ComputeParameters(const Graph& g);
 
 // Memoized ComputeParameters for a finalized graph: computed on first call,

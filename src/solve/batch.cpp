@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/random.hpp"
 
@@ -12,8 +11,7 @@ namespace {
 
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(static_cast<int>(hw), 1, 16);
+  return std::min(HardwareThreads(), 16);
 }
 
 }  // namespace

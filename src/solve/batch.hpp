@@ -1,7 +1,7 @@
 // Throughput-oriented batch execution on top of the solver pipeline.
 //
 // `BatchEngine` fans a vector of `SolveRequest`s out across a reusable
-// thread pool (solve/round_pool.hpp) and aggregates latency/throughput
+// thread pool (common/round_pool.hpp) and aggregates latency/throughput
 // statistics. Determinism discipline (DESIGN.md §3):
 //   * request i runs with the seed DeriveSeed(master_seed, i) when a master
 //     seed is set — one knob reseeds a whole batch reproducibly,
@@ -17,7 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "solve/round_pool.hpp"
+#include "common/round_pool.hpp"
 #include "solve/solver.hpp"
 
 namespace dsf {

@@ -7,12 +7,11 @@
 #include <exception>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
+#include "common/round_pool.hpp"
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
 #include "dist/transform.hpp"
-#include "solve/round_pool.hpp"
 #include "solve/solver_spec.hpp"
 #include "steiner/exact.hpp"
 #include "steiner/greedy.hpp"
@@ -271,11 +270,7 @@ SolverOutput PortfolioSolver::SolveMinimal(const Graph& g,
 
   // Racing width: SolveOptions::threads (0 = hardware concurrency), never
   // wider than the roster.
-  int width = options.threads;
-  if (width <= 0) {
-    width = static_cast<int>(
-        std::max(1u, std::thread::hardware_concurrency()));
-  }
+  int width = options.threads > 0 ? options.threads : HardwareThreads();
   width = std::min(width, count);
 
   struct Candidate {

@@ -25,6 +25,12 @@ constexpr long long kMaxNodes = 1'000'000;
 constexpr long long kMaxDenseNodes = 8'192;
 constexpr long long kMaxWeight = 1'000'000;
 
+// The most edges any family's parameter caps allow is power-law's n * m
+// (10^6 nodes x 64 attachments; dense er and grid stay near 3.4e7, and
+// geometric's ~8.4e6 edges weigh at most scale * sqrt(2)). At kMaxWeight each,
+// no `generate` line can reach the total-weight cap.
+static_assert(kMaxNodes * 64 * kMaxWeight < kMaxTotalWeight);
+
 constexpr ParamSpec kSaltSpec{
     "salt", Kind::kInt,
     "replication index folded into the seed (sweep it to redraw)", 0, 0,

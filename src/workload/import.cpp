@@ -24,6 +24,11 @@ constexpr long long kMaxImportNodes = 1'000'000;
   throw std::runtime_error(os.str());
 }
 
+[[noreturn]] void FailTotal(const std::string& origin, int line) {
+  Fail(origin, line,
+       "total edge weight exceeds " + std::to_string(kMaxTotalWeight));
+}
+
 std::string Lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -36,12 +41,24 @@ std::string Lower(std::string s) {
 // weight, which is the only weight a solver could use.
 class EdgeAccumulator {
  public:
-  void Add(NodeId u, NodeId v, Weight w) {
-    if (u == v) return;
+  // Returns false, adding nothing, when the kept edges' total weight would
+  // pass kMaxTotalWeight.
+  [[nodiscard]] bool Add(NodeId u, NodeId v, Weight w) {
+    if (u == v) return true;
     if (u > v) std::swap(u, v);
     const auto key = std::make_pair(u, v);
-    const auto [it, inserted] = min_weight_.insert({key, w});
-    if (!inserted && w < it->second) it->second = w;
+    const auto it = min_weight_.find(key);
+    if (it != min_weight_.end()) {
+      if (w < it->second) {
+        total_ -= it->second - w;
+        it->second = w;
+      }
+      return true;
+    }
+    if (w > kMaxTotalWeight - total_) return false;
+    total_ += w;
+    min_weight_.emplace(key, w);
+    return true;
   }
 
   [[nodiscard]] Graph Build(int n) const {
@@ -58,6 +75,7 @@ class EdgeAccumulator {
 
  private:
   std::map<std::pair<NodeId, NodeId>, Weight> min_weight_;
+  Weight total_ = 0;
   std::size_t raw_count_ = 0;
 };
 
@@ -157,7 +175,7 @@ ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
         const long long w = want("weight");
         no_trailing(head);
         if (w < 1) Fail(origin, line, "edge weight must be >= 1");
-        edges.Add(u, v, static_cast<Weight>(w));
+        if (!edges.Add(u, v, static_cast<Weight>(w))) FailTotal(origin, line);
         edges.CountRaw();
       } else {
         Fail(origin, line, "unknown Graph keyword '" + head + "'");
@@ -288,8 +306,10 @@ ImportedWorkload ParseDimacs(std::istream& in, const std::string& origin) {
                                "]");
       }
       if (w < 1) Fail(origin, line, "edge weight must be >= 1");
-      edges.Add(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1),
-                static_cast<Weight>(w));
+      if (!edges.Add(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1),
+                     static_cast<Weight>(w))) {
+        FailTotal(origin, line);
+      }
       edges.CountRaw();
     } else {
       Fail(origin, line, "unknown DIMACS line '" + head + "'");

@@ -60,6 +60,8 @@ struct ParserState {
   SweepTarget sweep_target = SweepTarget::kNone;
   // Unordered endpoint pairs of the current explicit case ("edge" hardening).
   std::set<std::pair<NodeId, NodeId>> edge_seen;
+  // Running total edge weight of the current explicit case.
+  Weight edge_total = 0;
 
   [[nodiscard]] CaseSpec* Current() {
     return spec.cases.empty() ? nullptr : &spec.cases.back();
@@ -104,6 +106,7 @@ void CloseCase(ParserState& st, int line) {
          "case '" + cs->name + "' has no instances");
   }
   st.edge_seen.clear();
+  st.edge_total = 0;
   st.sweep_target = SweepTarget::kNone;
 }
 
@@ -317,6 +320,11 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
         Fail(origin, line, "duplicate edge " + std::to_string(u) + " " +
                                std::to_string(v));
       }
+      if (w > kMaxTotalWeight - st.edge_total) {
+        Fail(origin, line, "total edge weight exceeds " +
+                               std::to_string(kMaxTotalWeight));
+      }
+      st.edge_total += w;
       cs->edges.push_back({u, v, static_cast<Weight>(w)});
     } else if (directive == "ic" || directive == "cr") {
       if (st.Current() == nullptr) {

@@ -80,6 +80,29 @@ TEST(GraphTest, TotalWeight) {
   EXPECT_EQ(g.TotalWeight(), 30);
 }
 
+// The total edge weight may reach kMaxTotalWeight but not pass it, so no
+// path or subset sum can overflow.
+TEST(GraphTest, FinalizeCapsTotalWeight) {
+  constexpr Weight kHalf = kMaxTotalWeight / 2;
+  Graph at_cap(3);
+  at_cap.AddEdge(0, 1, kHalf);
+  at_cap.AddEdge(1, 2, kHalf);
+  at_cap.Finalize();
+  EXPECT_EQ(at_cap.TotalWeight(), kMaxTotalWeight);
+
+  Graph over(4);
+  over.AddEdge(0, 1, kHalf);
+  over.AddEdge(1, 2, kHalf);
+  over.AddEdge(2, 3, 1);
+  EXPECT_THROW(over.Finalize(), std::logic_error);
+
+  Graph huge(4);
+  for (NodeId v = 0; v < 3; ++v) {
+    huge.AddEdge(v, v + 1, 4'000'000'000'000'000'000);
+  }
+  EXPECT_THROW(huge.Finalize(), std::logic_error);
+}
+
 TEST(GraphTest, WeightOfSubset) {
   Graph g(4);
   g.AddEdge(0, 1, 1);

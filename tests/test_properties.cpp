@@ -222,6 +222,22 @@ TEST(PropertiesTest, MatchesOracleOnDisconnectedGraphs) {
   const auto p = ComputeParameters(g);
   EXPECT_EQ(p.unweighted_diameter, 4);
   EXPECT_EQ(p.weighted_diameter, 12);
+
+  // Above 32 nodes the sweep runs in blocks. Isolated node 0, a 40-node
+  // star, a random weighted 60-node tree and another 40-node star make 141
+  // nodes in 5 blocks. The first and last blocks hold only node 0 and star
+  // nodes, so D, WD and s come from the middle blocks alone, and
+  // `connected` is false only in the block that ran source 0.
+  SplitMix64 rng(7);
+  const Graph head = DisjointUnion(Graph(1), MakeStar(40, 3), 0);
+  const Graph tree = MakeConnectedRandom(60, 0.0, 1, 90, rng);
+  const Graph big =
+      DisjointUnion(DisjointUnion(head, tree, 0), MakeStar(40, 5), 0);
+  ASSERT_EQ(big.NumNodes(), 141);
+  ExpectMatchesOracle(big, "isolated node 0 + star + tree + star");
+  const auto q = ComputeParameters(big);
+  EXPECT_FALSE(q.connected);
+  EXPECT_GT(q.unweighted_diameter, 2);
 }
 
 TEST(PropertiesTest, MatchesOracleOnTinyGraphs) {
@@ -261,6 +277,44 @@ TEST(PropertiesTest, HopTieResolvedTowardFewerHops) {
   EXPECT_EQ(p.shortest_path_diameter, 2);
   EXPECT_EQ(p.unweighted_diameter, 2);
   EXPECT_EQ(p.weighted_diameter, 4);
+
+  // The same gadget as nodes 60..64, hung off a 60-leaf star (3 blocks).
+  // From any leaf, node 63 lies at weight 6 along leaf-0-60-61-62-63 (5
+  // hops) and leaf-0-60-64-63 (4 hops), and the 5-hop offer arrives first:
+  // s = 4, where a first-settled kernel reports 5.
+  Graph star(65);
+  for (NodeId leaf = 1; leaf <= 60; ++leaf) star.AddEdge(0, leaf, 1);
+  star.AddEdge(60, 61, 1);
+  star.AddEdge(61, 62, 1);
+  star.AddEdge(62, 63, 2);
+  star.AddEdge(60, 64, 3);
+  star.AddEdge(64, 63, 1);
+  star.Finalize();
+  ExpectMatchesOracle(star, "hop tie in a star");
+  const auto q = ComputeParameters(star);
+  EXPECT_EQ(q.shortest_path_diameter, 4);
+  EXPECT_EQ(q.unweighted_diameter, 4);
+  EXPECT_EQ(q.weighted_diameter, 6);
+}
+
+// Above 32 nodes the sweep splits its sources into blocks that run on a
+// RoundPool and combine by max. Every shape here spans several blocks.
+TEST(PropertiesTest, MultiBlockSweepMatchesOracle) {
+  using Params = std::vector<std::pair<std::string, std::string>>;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    SplitMix64 rng(seed);
+    const std::string tag = " seed " + std::to_string(seed);
+    ExpectMatchesOracle(MakeGrid(12, 15, 1, 1000, rng), "weighted grid" + tag);
+    ExpectMatchesOracle(
+        BuildGenerator("subdivided-er",
+                       Params{{"n", "24"}, {"p", "0.2"}, {"max_w", "50"}},
+                       seed),
+        "subdivided-er" + tag);
+    ExpectMatchesOracle(
+        BuildGenerator("power-law", Params{{"n", "300"}, {"max_w", "100"}},
+                       seed),
+        "power-law" + tag);
+  }
 }
 
 // 4 threads race on cold caches: all on one shared graph, then each on a

@@ -545,6 +545,16 @@ TEST(ProtocolTest, PingStatsAndErrors) {
   EXPECT_FALSE(disc.GetBool("ok", true));
   EXPECT_NE(disc.GetString("error", "").find("disconnected"),
             std::string::npos);
+
+  // Edge weights whose sum passes the cap fail at parse, before any solver
+  // sees them.
+  const JsonValue heavy = ParseJson(HandleRequestLine(
+      svc.ctx,
+      R"({"op":"solve","spec":"graph 4\nedge 0 1 4000000000000000000\nedge 1 2 4000000000000000000\nedge 2 3 4000000000000000000\nic a\nterminal 0 1\nterminal 3 1\n","solvers":["mst-prune","greedy-merge","gw-moat","dist-det"]})"));
+  EXPECT_FALSE(heavy.GetBool("ok", true));
+  EXPECT_NE(heavy.GetString("error", "").find("total edge weight exceeds"),
+            std::string::npos)
+      << heavy.GetString("error", "");
 }
 
 TEST(ProtocolTest, OverloadAnswersInsteadOfQueueing) {

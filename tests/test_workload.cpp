@@ -405,6 +405,48 @@ TEST(WorkloadSpecTest, ErrorsCarryOriginAndLine) {
   }
 }
 
+// The message of the runtime_error `parse` throws, or "" if it throws none.
+template <typename Parse>
+std::string ParseError(Parse parse) {
+  try {
+    parse();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Every grammar accepts a total edge weight of exactly kMaxTotalWeight and
+// fails with origin:line at the edge line whose running total passes it.
+constexpr Weight kHalfCap = kMaxTotalWeight / 2;
+const std::string kHalf = std::to_string(kHalfCap);
+
+TEST(WorkloadSpecTest, EdgeLinesCapTheTotalWeight) {
+  const Workload at_cap = ExpandString("graph 3\nedge 0 1 " + kHalf +
+                                       "\nedge 1 2 " + kHalf +
+                                       "\nic a\nterminal 0 1\nterminal 2 1\n");
+  EXPECT_EQ(at_cap.cases.at(0).graph.TotalWeight(), kMaxTotalWeight);
+
+  const std::string over = ParseError([&] {
+    (void)ExpandString("graph 4\nedge 0 1 " + kHalf + "\nedge 1 2 " + kHalf +
+                       "\nedge 2 3 1\nic a\nterminal 0 1\nterminal 3 1\n");
+  });
+  EXPECT_NE(over.find("<string>:4: total edge weight exceeds"),
+            std::string::npos)
+      << over;
+
+  // Three edges of 4e18 each once summed past 2^63 and came back negative.
+  const std::string wrap = ParseError([] {
+    (void)ExpandString(
+        "graph 4\nedge 0 1 4000000000000000000\n"
+        "edge 1 2 4000000000000000000\nedge 2 3 4000000000000000000\n"
+        "ic a\nterminal 0 1\nterminal 3 1\n");
+  });
+  EXPECT_NE(wrap.find("<string>:2: total edge weight exceeds"),
+            std::string::npos)
+      << wrap;
+}
+
 TEST(WorkloadSpecTest, BuildRequestsIsSolverMajor) {
   const Workload w = ExpandString(
       "generate grid rows=3 cols=3\n"
@@ -575,6 +617,41 @@ TEST(ImportTest, DimacsRejectsMalformed) {
     EXPECT_THROW((void)ParseDimacs(in, "<dimacs>"), std::runtime_error)
         << text;
   }
+}
+
+// Restated arcs keep one (minimum) weight and count once toward the cap.
+TEST(ImportTest, SteinLibCapsTheTotalWeight) {
+  std::istringstream at_cap("33D32945 STP\nSECTION Graph\nNodes 3\nEdges 4\n"
+                            "E 1 2 " + kHalf + "\nE 2 1 " + kHalf +
+                            "\nE 2 3 " + kHalf + "\nE 3 2 " + kHalf +
+                            "\nEND\nEOF\n");
+  EXPECT_EQ(ParseSteinLib(at_cap, "<stp>").graph.TotalWeight(),
+            kMaxTotalWeight);
+
+  const std::string over = ParseError([&] {
+    std::istringstream in("33D32945 STP\nSECTION Graph\nNodes 4\nEdges 3\n"
+                          "E 1 2 " + kHalf + "\nE 2 3 " + kHalf +
+                          "\nE 3 4 1\nEND\nEOF\n");
+    (void)ParseSteinLib(in, "<stp>");
+  });
+  EXPECT_NE(over.find("<stp>:7: total edge weight exceeds"), std::string::npos)
+      << over;
+}
+
+TEST(ImportTest, DimacsCapsTheTotalWeight) {
+  std::istringstream at_cap("p edge 3 4\na 1 2 " + kHalf + "\na 2 1 " + kHalf +
+                            "\na 2 3 " + kHalf + "\na 3 2 " + kHalf + "\n");
+  EXPECT_EQ(ParseDimacs(at_cap, "<dimacs>").graph.TotalWeight(),
+            kMaxTotalWeight);
+
+  const std::string over = ParseError([&] {
+    std::istringstream in("p edge 4 3\ne 1 2 " + kHalf + "\ne 2 3 " + kHalf +
+                          "\ne 3 4 1\n");
+    (void)ParseDimacs(in, "<dimacs>");
+  });
+  EXPECT_NE(over.find("<dimacs>:4: total edge weight exceeds"),
+            std::string::npos)
+      << over;
 }
 
 TEST(ImportTest, StpLoadsAsSingleCaseWorkload) {
