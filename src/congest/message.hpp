@@ -12,6 +12,7 @@
 // path free of heap traffic — millions of sends allocate nothing.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -98,6 +99,11 @@ class FieldList {
       if (a.data_[i] != b.data_[i]) return false;
     }
     return true;
+  }
+  // Lexicographic, like std::vector's: coordinators sort collected items.
+  friend bool operator<(const FieldList& a, const FieldList& b) {
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
   }
 
  private:

@@ -1,7 +1,6 @@
 #include "congest/protocols.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace dsf {
 
@@ -131,7 +130,7 @@ void TreeProgramBase::Finish() {
 }
 
 void CollectPipeline::OnReceive(const Message& msg, bool collect_at_this_node,
-                                std::vector<std::vector<std::int64_t>>* received) {
+                                std::vector<FieldList>* received) {
   DSF_CHECK(msg.channel == channel_);
   if (!msg.fields.empty() && msg.fields[0] == kDoneSentinel) {
     DSF_CHECK(children_pending_ > 0);
@@ -147,7 +146,7 @@ void CollectPipeline::OnReceive(const Message& msg, bool collect_at_this_node,
 }
 
 void CollectPipeline::Tick(NodeApi& api, int parent_local,
-                           std::vector<std::vector<std::int64_t>>* root_collect) {
+                           std::vector<FieldList>* root_collect) {
   if (parent_local < 0) {
     // Root: drain local seeds straight into the collection.
     while (!queue_.empty()) {
@@ -165,82 +164,6 @@ void CollectPipeline::Tick(NodeApi& api, int parent_local,
   } else if (own_done_ && children_pending_ == 0 && !done_sent_) {
     done_sent_ = true;
     api.Send(parent_local, Message{channel_, {kDoneSentinel}});
-  }
-}
-
-void KeyedEdgeQueues::Configure(int degree) {
-  degree_ = degree;
-  words_ = (static_cast<std::size_t>(degree) + 63) / 64;
-  table_.assign(16, SlotEntry{});
-  slot_key_.clear();
-  member_.clear();
-  edge_.resize(static_cast<std::size_t>(degree));
-  for (auto& q : edge_) q.clear();
-  pending_ = 0;
-}
-
-std::int32_t KeyedEdgeQueues::SlotOf(NodeId key) {
-  std::size_t mask = table_.size() - 1;
-  std::size_t i = IdHash{}(static_cast<std::int64_t>(key)) & mask;
-  while (table_[i].slot >= 0) {
-    if (table_[i].key == key) return table_[i].slot;
-    i = (i + 1) & mask;
-  }
-  const auto slot = static_cast<std::int32_t>(slot_key_.size());
-  slot_key_.push_back(key);
-  member_.resize(member_.size() + words_, 0);
-  if (2 * slot_key_.size() > table_.size()) {
-    // Grow to keep probes short; slots are dense, so rehash from slot_key_.
-    table_.assign(2 * table_.size(), SlotEntry{});
-    mask = table_.size() - 1;
-    for (std::int32_t s = 0; s <= slot; ++s) {
-      const NodeId k = slot_key_[static_cast<std::size_t>(s)];
-      std::size_t j = IdHash{}(static_cast<std::int64_t>(k)) & mask;
-      while (table_[j].slot >= 0) j = (j + 1) & mask;
-      table_[j] = SlotEntry{k, s};
-    }
-  } else {
-    table_[i] = SlotEntry{key, slot};
-  }
-  return slot;
-}
-
-void KeyedEdgeQueues::EnqueueAll(NodeId key, int except_local) {
-  if (edge_.empty()) return;  // no edge to queue on (or not yet configured)
-  const std::int32_t slot = SlotOf(key);
-  std::uint64_t* row = member_.data() + static_cast<std::size_t>(slot) * words_;
-  for (std::size_t w = 0; w < words_; ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t bits = std::min<std::size_t>(
-        64, static_cast<std::size_t>(degree_) - base);
-    std::uint64_t fresh = bits == 64 ? ~std::uint64_t{0}
-                                     : (std::uint64_t{1} << bits) - 1;
-    if (except_local >= 0 &&
-        static_cast<std::size_t>(except_local) / 64 == w) {
-      fresh &= ~(std::uint64_t{1} << (except_local % 64));
-    }
-    fresh &= ~row[w];
-    if (fresh == 0) continue;
-    row[w] |= fresh;
-    pending_ += static_cast<std::size_t>(std::popcount(fresh));
-    for (; fresh != 0; fresh &= fresh - 1) {
-      edge_[base + static_cast<std::size_t>(std::countr_zero(fresh))]
-          .push_back(slot);
-    }
-  }
-}
-
-void KeyedEdgeQueues::PopInto(int local, int budget, std::vector<NodeId>& out) {
-  out.clear();
-  const auto e = static_cast<std::size_t>(local);
-  auto& q = edge_[e];
-  const std::uint64_t bit = std::uint64_t{1} << (e % 64);
-  while (budget-- > 0 && !q.empty()) {
-    const auto slot = static_cast<std::size_t>(q.front());
-    q.pop_front();
-    out.push_back(slot_key_[slot]);
-    member_[slot * words_ + e / 64] &= ~bit;
-    --pending_;
   }
 }
 

@@ -209,14 +209,15 @@ class CollectPipeline {
 
   // Feeds a received message (must be on this pipeline's channel). Payloads
   // are appended to `received` when collect_at_this_node is set (at the root)
-  // and otherwise queued for forwarding.
+  // and otherwise queued for forwarding. The root keeps payloads as inline
+  // FieldLists, so its collection is one flat buffer.
   void OnReceive(const Message& msg, bool collect_at_this_node,
-                 std::vector<std::vector<std::int64_t>>* received);
+                 std::vector<FieldList>* received);
 
   // Sends at most one payload (or the DONE marker) to the parent this round.
   // At the root (parent_local < 0) drains local seeds into `root_collect`.
   void Tick(NodeApi& api, int parent_local,
-            std::vector<std::vector<std::int64_t>>* root_collect = nullptr);
+            std::vector<FieldList>* root_collect = nullptr);
 
   [[nodiscard]] bool Complete() const noexcept {
     return own_done_ && children_pending_ == 0 && queue_.empty();
@@ -240,50 +241,165 @@ class CollectPipeline {
   int children_pending_ = 0;
 };
 
-// Per-edge FIFO of keys with membership dedup, shared by the flooding
-// protocols (Bellman-Ford labels, LE-list entries) to rate-limit per-round
-// sends. The queue stores only keys; the owner supplies the payload at send
-// time, so a key that is re-improved while queued is sent with its freshest
-// value exactly once.
+// Per-edge FIFO of keys with dedup, plus the freshest value of every key,
+// shared by the flooding protocols (Bellman-Ford labels, LE-list entries) to
+// rate-limit per-round sends. The owner writes a key's value in place and
+// queues the key; a key re-improved while queued keeps its place and is sent
+// once, with the value it holds at send time. Values outlive pops, so the
+// owner keeps no per-key map of its own.
 //
-// Storage is flat and reused: a key gets a dense per-node slot the first
-// time it is enqueued (an open-addressing table over IdHash), each edge
-// queues slots in a FlatFifo, and membership is one bit per (slot, edge) in
-// a slot-major row of ceil(degree/64) words. No per-key or per-queue node is
-// ever allocated; buffers grow to the node's peak and stay there.
+// Storage is three flat buffers per node, reserved at Configure for
+// kInitialSlots keys and doubled past that:
+//   * an open-addressing table (IdHash, load <= 1/2) from key to a dense
+//     slot, assigned the first time the key is seen;
+//   * the slots themselves: key and value;
+//   * one link structure: a head and a tail per edge, then one next-cell per
+//     (slot, edge). Each edge's queue is an intrusive singly linked list of
+//     slots, and a next-cell of kNotQueued marks the slot as absent from that
+//     edge's list, which is the dedup.
+// No per-key, per-edge or per-queue block is ever allocated. Configure
+// before any other call.
+template <typename Value>
 class KeyedEdgeQueues {
  public:
-  void Configure(int degree);
+  // Keys reserved for at Configure. A dist-det node holds one key per
+  // terminal and a dist-rand node one per LE candidate, so the paper's
+  // workloads rarely grow past it.
+  static constexpr std::size_t kInitialSlots = 16;
 
-  // Enqueues `key` on every edge except `except_local` (pass -1 for none);
-  // a key already queued on an edge is not duplicated.
-  void EnqueueAll(NodeId key, int except_local);
+  // Clears every key, value and queue, for a node of `degree` edges.
+  void Configure(int degree) {
+    degree_ = static_cast<std::size_t>(degree);
+    table_.assign(2 * kInitialSlots, TableEntry{});
+    slots_.clear();
+    slots_.reserve(kInitialSlots);
+    links_.clear();
+    links_.reserve((2 + kInitialSlots) * degree_);
+    links_.assign(2 * degree_, kEnd);
+    pending_ = 0;
+  }
 
-  // Pops up to `budget` distinct keys from edge `local`'s queue into `out`
-  // (cleared first). Allocation-free: callers keep a scratch buffer.
-  void PopInto(int local, int budget, std::vector<NodeId>& out);
+  // The key's slot, or -1 when the key was not seen since Configure.
+  [[nodiscard]] std::int32_t Find(NodeId key) const noexcept {
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t i = Hash(key) & mask; table_[i].slot >= 0;
+         i = (i + 1) & mask) {
+      if (table_[i].key == key) return table_[i].slot;
+    }
+    return -1;
+  }
+
+  // The key's slot; a key seen for the first time gets the next dense slot,
+  // holding a default-constructed value and queued on no edge.
+  std::int32_t SlotOf(NodeId key) {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = Hash(key) & mask;
+    for (; table_[i].slot >= 0; i = (i + 1) & mask) {
+      if (table_[i].key == key) return table_[i].slot;
+    }
+    const auto slot = static_cast<std::int32_t>(slots_.size());
+    slots_.push_back(Slot{key, Value{}});
+    links_.resize(links_.size() + degree_, kNotQueued);
+    if (2 * slots_.size() > table_.size()) {
+      Rehash(2 * table_.size());
+    } else {
+      table_[i] = TableEntry{key, slot};
+    }
+    return slot;
+  }
+
+  [[nodiscard]] std::int32_t NumSlots() const noexcept {
+    return static_cast<std::int32_t>(slots_.size());
+  }
+  [[nodiscard]] NodeId KeyAt(std::int32_t slot) const {
+    return slots_[static_cast<std::size_t>(slot)].key;
+  }
+  [[nodiscard]] Value& ValueAt(std::int32_t slot) {
+    return slots_[static_cast<std::size_t>(slot)].value;
+  }
+
+  // Queues `slot` at the back of every edge's list except `except_local`
+  // (pass -1 for none); an edge that already holds the slot keeps it where
+  // it is.
+  void EnqueueAll(std::int32_t slot, int except_local) {
+    const auto s = static_cast<std::size_t>(slot);
+    std::int32_t* next = links_.data() + Row(s);
+    for (std::size_t e = 0; e < degree_; ++e) {
+      if (next[e] != kNotQueued || static_cast<int>(e) == except_local) {
+        continue;
+      }
+      next[e] = kEnd;
+      std::int32_t& tail = links_[2 * e + 1];
+      if (tail == kEnd) {
+        links_[2 * e] = slot;
+      } else {
+        links_[Row(static_cast<std::size_t>(tail)) + e] = slot;
+      }
+      tail = slot;
+      ++pending_;
+    }
+  }
+
+  // Pops up to `budget` keys from the front of edge `local`'s queue, in FIFO
+  // order, calling send(key, value) for each with its current value. `send`
+  // must not add keys: a new slot may move the values.
+  template <typename Send>
+  void PopEach(int local, int budget, Send&& send) {
+    const auto e = static_cast<std::size_t>(local);
+    std::int32_t& head = links_[2 * e];
+    for (; budget > 0 && head != kEnd; --budget) {
+      const auto s = static_cast<std::size_t>(head);
+      std::int32_t& next = links_[Row(s) + e];
+      head = next;
+      next = kNotQueued;
+      if (head == kEnd) links_[2 * e + 1] = kEnd;
+      --pending_;
+      send(slots_[s].key, std::as_const(slots_[s].value));
+    }
+  }
 
   // True while any edge queue holds a key (the owner still has sends to
-  // emit). O(1): maintained as a counter across EnqueueAll/Pop.
+  // emit). O(1): a counter maintained by EnqueueAll and PopEach.
   [[nodiscard]] bool HasPending() const noexcept { return pending_ > 0; }
 
  private:
+  static constexpr std::int32_t kEnd = -1;        // empty list / last cell
+  static constexpr std::int32_t kNotQueued = -2;  // slot not on this edge
+
   // Open-addressing entry: slot < 0 marks an empty cell.
-  struct SlotEntry {
+  struct TableEntry {
     NodeId key = 0;
     std::int32_t slot = -1;
   };
+  struct Slot {
+    NodeId key;
+    Value value;
+  };
 
-  // The key's slot, assigned (with a zeroed membership row) on first sight.
-  std::int32_t SlotOf(NodeId key);
+  [[nodiscard]] static std::size_t Hash(NodeId key) noexcept {
+    return IdHash{}(static_cast<std::int64_t>(key));
+  }
+  // Offset of a slot's next-cells: the 2 * degree head/tail cells come first.
+  [[nodiscard]] std::size_t Row(std::size_t slot) const noexcept {
+    return (slot + 2) * degree_;
+  }
 
-  int degree_ = 0;
-  std::size_t words_ = 0;              // membership words per slot
-  std::vector<SlotEntry> table_;       // power-of-two size, load <= 1/2
-  std::vector<NodeId> slot_key_;       // slot -> key
-  std::vector<std::uint64_t> member_;  // slot-major: bit e = queued on edge e
-  std::vector<FlatFifo<std::int32_t>> edge_;  // per-edge FIFO of slots
-  std::size_t pending_ = 0;  // total keys across all edge queues
+  // Slots are dense, so the grown table is rebuilt from slots_.
+  void Rehash(std::size_t size) {
+    table_.assign(size, TableEntry{});
+    const std::size_t mask = size - 1;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      std::size_t i = Hash(slots_[s].key) & mask;
+      while (table_[i].slot >= 0) i = (i + 1) & mask;
+      table_[i] = TableEntry{slots_[s].key, static_cast<std::int32_t>(s)};
+    }
+  }
+
+  std::size_t degree_ = 0;
+  std::vector<TableEntry> table_;     // power-of-two size
+  std::vector<Slot> slots_;           // slot -> key, freshest value
+  std::vector<std::int32_t> links_;   // heads/tails, then next-cells
+  std::size_t pending_ = 0;           // queued (slot, edge) pairs
 };
 
 // Distributed BFS-tree sanity program used by tests: builds the tree, then

@@ -1,9 +1,9 @@
 #include "dist/det_moat.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "congest/protocols.hpp"
@@ -40,15 +40,15 @@ class DetMoatProgram : public TreeProgramBase {
     term_pipe_.Configure(kChLabel, children);
     dist_pipe_.Configure(kChExchange, children);
     path_pipe_.Configure(kChFilter, children);
-    bf_queues_.Configure(api.Degree());
+    bf_.Configure(api.Degree());
     if (label_ != kNoLabel) {
       term_pipe_.Seed({Id(), static_cast<std::int64_t>(label_)});
       // This node is a Bellman-Ford source.
-      BfLabel self;
+      const std::int32_t slot = bf_.SlotOf(Id());
+      BfLabel& self = bf_.ValueAt(slot);
       self.dist = 0;
       self.hops = 0;
-      bf_[Id()] = self;
-      bf_queues_.EnqueueAll(Id(), /*except_local=*/-1);
+      bf_.EnqueueAll(slot, /*except_local=*/-1);
     }
     term_pipe_.MarkOwnDone();
   }
@@ -88,7 +88,7 @@ class DetMoatProgram : public TreeProgramBase {
   // payload or DONE marker to push (the root keeps ticking regardless — it
   // drives the stage machine).
   [[nodiscard]] bool AppWantsTick() const override {
-    return bf_queues_.HasPending() || term_pipe_.WantsTick() ||
+    return bf_.HasPending() || term_pipe_.WantsTick() ||
            dist_pipe_.WantsTick() || path_pipe_.WantsTick();
   }
 
@@ -96,12 +96,7 @@ class DetMoatProgram : public TreeProgramBase {
     if (msg.fields.empty()) return;
     switch (msg.fields[0]) {
       case kOpReportDistances:
-        if (label_ != kNoLabel) {
-          // bf_ is a std::map: sources are reported in increasing id order.
-          for (const auto& [src, lab] : bf_) {
-            dist_pipe_.Seed({Id(), src, lab.dist, lab.hops});
-          }
-        }
+        if (label_ != kNoLabel) ReportDistances();
         dist_pipe_.MarkOwnDone();
         break;
       case kOpWalk:
@@ -136,7 +131,8 @@ class DetMoatProgram : public TreeProgramBase {
     const auto src = static_cast<NodeId>(d.msg.fields[0]);
     const Weight nd = d.msg.fields[1] + api.EdgeWeight(d.from_local);
     const std::int64_t nh = d.msg.fields[2] + 1;
-    BfLabel& cur = bf_[src];
+    const std::int32_t slot = bf_.SlotOf(src);
+    BfLabel& cur = bf_.ValueAt(slot);
     const bool better =
         nd < cur.dist || (nd == cur.dist && nh < cur.hops) ||
         (nd == cur.dist && nh == cur.hops && d.from_node < cur.parent);
@@ -148,27 +144,40 @@ class DetMoatProgram : public TreeProgramBase {
     cur.parent_local = d.from_local;
     // A parent-only refinement leaves the (dist, hops) the neighbors depend
     // on unchanged; only genuine improvements are re-propagated.
-    if (repropagate) bf_queues_.EnqueueAll(src, d.from_local);
+    if (repropagate) bf_.EnqueueAll(slot, d.from_local);
   }
 
   void TickBellman(NodeApi& api) {
-    if (!bf_queues_.HasPending()) return;
+    if (!bf_.HasPending()) return;
     for (int e = 0; e < api.Degree(); ++e) {
-      bf_queues_.PopInto(e, kBfPerRound, pop_scratch_);
-      for (const NodeId src : pop_scratch_) {
-        const BfLabel& lab = bf_.at(src);  // always the freshest label
+      // The slot holds the freshest label, whenever the source was queued.
+      bf_.PopEach(e, kBfPerRound, [&](NodeId src, const BfLabel& lab) {
         api.Send(e, Message{kChBellman, {src, lab.dist, lab.hops}});
-      }
+      });
+    }
+  }
+
+  // Seeds one {reporter, source, dist, hops} item per Bellman-Ford source,
+  // in increasing source id (the order the coordinator's replay expects).
+  void ReportDistances() {
+    std::vector<std::int32_t> order(static_cast<std::size_t>(bf_.NumSlots()));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
+      return bf_.KeyAt(a) < bf_.KeyAt(b);
+    });
+    for (const std::int32_t slot : order) {
+      const BfLabel& lab = bf_.ValueAt(slot);
+      dist_pipe_.Seed({Id(), bf_.KeyAt(slot), lab.dist, lab.hops});
     }
   }
 
   // One hop of a merge-path walk: report the parent edge toward `src`, mark
   // it, and pass the token on.
   void WalkStep(NodeApi& api, NodeId src) {
-    const auto it = bf_.find(src);
-    DSF_CHECK_MSG(it != bf_.end() && it->second.parent_local >= 0,
+    const std::int32_t slot = bf_.Find(src);
+    DSF_CHECK_MSG(slot >= 0 && bf_.ValueAt(slot).parent_local >= 0,
                   "merge walk reached a node without a converged label");
-    const BfLabel& lab = it->second;
+    const BfLabel& lab = bf_.ValueAt(slot);
     path_pipe_.Seed({lab.hops, api.GlobalEdgeId(lab.parent_local), lab.parent,
                      Id()});
     api.MarkEdge(lab.parent_local);
@@ -276,7 +285,7 @@ class DetMoatProgram : public TreeProgramBase {
   // Replays the centralized cycle-dropping (Algorithm 1 lines 17-19) over
   // this walk's reported edges in source-to-target order.
   void ConsumeWalk() {
-    std::vector<std::vector<std::int64_t>> slice(
+    std::vector<FieldList> slice(
         path_items_.begin() + static_cast<std::ptrdiff_t>(consumed_items_),
         path_items_.begin() +
             static_cast<std::ptrdiff_t>(consumed_items_ + expected_items_));
@@ -296,9 +305,9 @@ class DetMoatProgram : public TreeProgramBase {
   Label label_;
   Real epsilon_;
 
-  std::map<NodeId, BfLabel> bf_;
-  KeyedEdgeQueues bf_queues_;
-  std::vector<NodeId> pop_scratch_;  // reused by TickBellman
+  // Bellman-Ford labels, one slot per source, and their per-edge send
+  // queues.
+  KeyedEdgeQueues<BfLabel> bf_;
 
   CollectPipeline term_pipe_;
   CollectPipeline dist_pipe_;
@@ -306,9 +315,9 @@ class DetMoatProgram : public TreeProgramBase {
 
   // Coordinator state.
   Stage stage_ = Stage::kGather;
-  std::vector<std::vector<std::int64_t>> term_items_;
-  std::vector<std::vector<std::int64_t>> dist_items_;
-  std::vector<std::vector<std::int64_t>> path_items_;
+  std::vector<FieldList> term_items_;
+  std::vector<FieldList> dist_items_;
+  std::vector<FieldList> path_items_;
   std::vector<NodeId> terminals_;
   std::vector<std::vector<std::int64_t>> hops_;
   std::unique_ptr<UnionFind> forest_uf_;

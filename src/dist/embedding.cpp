@@ -12,6 +12,10 @@ namespace {
 // At most this many LE updates leave a node per edge per round.
 constexpr int kLePerRound = 2;
 
+// LE-list entries reserved per node: a list holds H_n ~ ln n entries in
+// expectation, under 15 up to n = 10^6; a longer list grows past it.
+constexpr std::size_t kReservedEntries = 16;
+
 }  // namespace
 
 Rank RankOf(NodeId v, std::uint64_t seed) {
@@ -71,8 +75,8 @@ void LeListModule::Configure(NodeId id, std::uint64_t seed, int degree,
   degree_ = degree;
   max_hops_ = max_hops;
   list_ = LeList();
+  list_.Reserve(kReservedEntries);
   queues_.Configure(degree);
-  pending_.clear();
   const Rank self = RankOf(id, seed);
   list_.Insert({id, self.key, 0, -1});
   Enqueue(id, PendingValue{self.key, 0, 0}, /*except_local=*/-1);
@@ -80,8 +84,9 @@ void LeListModule::Configure(NodeId id, std::uint64_t seed, int degree,
 
 void LeListModule::Enqueue(NodeId node, const PendingValue& value,
                            int except_local) {
-  pending_[node] = value;
-  queues_.EnqueueAll(node, except_local);
+  const std::int32_t slot = queues_.SlotOf(node);
+  queues_.ValueAt(slot) = value;
+  queues_.EnqueueAll(slot, except_local);
 }
 
 void LeListModule::OnReceive(NodeApi& api, const Delivery& d) {
@@ -98,13 +103,11 @@ void LeListModule::OnReceive(NodeApi& api, const Delivery& d) {
 void LeListModule::Tick(NodeApi& api) {
   if (!queues_.HasPending()) return;
   for (int e = 0; e < degree_; ++e) {
-    queues_.PopInto(e, kLePerRound, pop_scratch_);
-    for (const NodeId node : pop_scratch_) {
-      const PendingValue& value = pending_.at(node);  // freshest value
+    queues_.PopEach(e, kLePerRound, [&](NodeId node, const PendingValue& value) {
       api.Send(e, Message{kChLe,
                           {node, static_cast<std::int64_t>(value.rank_key),
                            value.dist, value.hops}});
-    }
+    });
   }
 }
 

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -69,6 +68,9 @@ struct LeEntry {
 // ascending rank.
 class LeList {
  public:
+  // Reserves room for `entries` entries (Insert grows past it if needed).
+  void Reserve(std::size_t entries) { entries_.reserve(entries); }
+
   // Inserts unless dominated (an existing entry at distance <= e.dist with
   // rank >= e.rank_key); removes entries the new one dominates. Returns
   // whether the entry was kept.
@@ -116,13 +118,11 @@ class LeListModule {
   int max_hops_ = -1;
   std::uint64_t seed_ = 0;
   LeList list_;
-  // Rate-limited flooding: the shared per-edge key queues plus the freshest
-  // (rank, dist, hops) per node — re-improvements update the value in place,
-  // and a value must survive even if the entry is later pruned from the
-  // list, so it cannot be read back from list_ at send time.
-  KeyedEdgeQueues queues_;
-  std::map<NodeId, PendingValue> pending_;
-  std::vector<NodeId> pop_scratch_;  // reused by Tick
+  // Rate-limited flooding: the shared per-edge key queues, whose slots hold
+  // the freshest (rank, dist, hops) per node. Re-improvements update the
+  // value in place, and a value must survive even if the entry is later
+  // pruned from the list, so it cannot be read back from list_ at send time.
+  KeyedEdgeQueues<PendingValue> queues_;
 };
 
 // Centralized reference embedding (exact mirror of the module's fixed

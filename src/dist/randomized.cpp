@@ -202,7 +202,7 @@ class RandProgram : public TreeProgramBase {
 
   // Coordinator state.
   Stage stage_ = Stage::kEmbed;
-  std::vector<std::vector<std::int64_t>> anc_items_;
+  std::vector<FieldList> anc_items_;
   long connect_round_ = 0;
 };
 

@@ -22,8 +22,7 @@ StaticKnowledge KnownOrThrow(const Graph& g) {
   return known;
 }
 
-std::set<Label> SingletonLabels(
-    const std::vector<std::vector<std::int64_t>>& terminal_items) {
+std::set<Label> SingletonLabels(std::span<const FieldList> terminal_items) {
   std::map<Label, int> count;
   for (const auto& item : terminal_items) ++count[static_cast<Label>(item[1])];
   std::set<Label> singletons;

@@ -7,7 +7,7 @@
 
 #include <cstdint>
 #include <set>
-#include <vector>
+#include <span>
 
 #include "congest/network.hpp"
 #include "graph/graph.hpp"
@@ -22,7 +22,6 @@ StaticKnowledge KnownOrThrow(const Graph& g);
 // (node, label) items — the components Lemma 2.4 drops. Shared by the
 // standalone minimization protocol and the moat protocol's inline
 // minimization so the two cannot diverge.
-std::set<Label> SingletonLabels(
-    const std::vector<std::vector<std::int64_t>>& terminal_items);
+std::set<Label> SingletonLabels(std::span<const FieldList> terminal_items);
 
 }  // namespace dsf::detail

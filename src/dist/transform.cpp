@@ -89,7 +89,7 @@ class CrToIcProgram : public TreeProgramBase {
   std::vector<NodeId> requests_;
   Label label_ = kNoLabel;
   CollectPipeline pipe_;
-  std::vector<std::vector<std::int64_t>> pairs_;  // root only
+  std::vector<FieldList> pairs_;  // root only
   bool announced_labels_ = false;
 };
 
@@ -146,7 +146,7 @@ class MakeMinimalProgram : public TreeProgramBase {
  private:
   Label label_;
   CollectPipeline pipe_;
-  std::vector<std::vector<std::int64_t>> items_;  // root only
+  std::vector<FieldList> items_;  // root only
   bool announced_ = false;
 };
 

@@ -32,10 +32,13 @@ std::vector<EdgeId> MinimalFeasibleSubforest(const Graph& g,
   std::vector<EdgeId> kept;
   std::vector<char> visited(static_cast<std::size_t>(n), 0);
   std::vector<std::map<Label, int>> counts(static_cast<std::size_t>(n));
+  // Every node outside the forest is a root of its own, so the DFS buffers
+  // are shared by all roots rather than allocated per root.
+  std::vector<std::tuple<NodeId, NodeId, EdgeId>> order;  // node, parent, edge
+  std::vector<std::tuple<NodeId, NodeId, EdgeId>> stack;
   for (NodeId r = 0; r < n; ++r) {
     if (visited[static_cast<std::size_t>(r)]) continue;
-    std::vector<std::tuple<NodeId, NodeId, EdgeId>> order;  // node, parent, edge
-    std::vector<std::tuple<NodeId, NodeId, EdgeId>> stack;
+    order.clear();
     stack.push_back({r, kNoNode, kNoEdge});
     visited[static_cast<std::size_t>(r)] = 1;
     while (!stack.empty()) {

@@ -51,7 +51,7 @@ TEST(CollectPipelineTest, CompleteRequiresChildrenAndOwnDone) {
 TEST(CollectPipelineTest, PayloadsCollectedAtRoot) {
   CollectPipeline p;
   p.Configure(kChApp, 0);
-  std::vector<std::vector<std::int64_t>> out;
+  std::vector<FieldList> out;
   Message payload{kChApp, {42, 7}};
   p.OnReceive(payload, true, &out);
   ASSERT_EQ(out.size(), 1u);
@@ -63,7 +63,7 @@ TEST(CollectPipelineTest, PayloadsCollectedAtRoot) {
 class CollectAllProgram : public TreeProgramBase {
  public:
   explicit CollectAllProgram(NodeId id) : TreeProgramBase(id) {}
-  std::vector<std::vector<std::int64_t>> collected;
+  std::vector<FieldList> collected;
 
  protected:
   void OnTreeReady(NodeApi& api) override {
@@ -269,7 +269,7 @@ TEST(CollectPipelineTest, NoItemsEverSeeded) {
   class EmptyCollectProgram : public TreeProgramBase {
    public:
     explicit EmptyCollectProgram(NodeId id) : TreeProgramBase(id) {}
-    std::vector<std::vector<std::int64_t>> collected;
+    std::vector<FieldList> collected;
 
    protected:
     void OnTreeReady(NodeApi& api) override {
@@ -349,78 +349,82 @@ TEST(CtrlBroadcastTest, OrderPreservedAndPipelined) {
 }
 
 
+// Pops up to `budget` keys from edge `e`, as the flooding owners do.
+template <typename Value>
+std::vector<NodeId> PopKeys(KeyedEdgeQueues<Value>& q, int e, int budget) {
+  std::vector<NodeId> out;
+  q.PopEach(e, budget, [&](NodeId key, const Value&) { out.push_back(key); });
+  return out;
+}
+
+template <typename Value>
+void Enqueue(KeyedEdgeQueues<Value>& q, NodeId key, int except_local) {
+  q.EnqueueAll(q.SlotOf(key), except_local);
+}
+
 // The KeyedEdgeQueues contract the flooding protocols rely on: per-edge FIFO,
 // no duplicate while pending, re-queue after a pop goes to the back,
 // except_local skipping, budgeted pops, exact HasPending and a full reset.
 TEST(KeyedEdgeQueuesTest, PerEdgeFifoWithDedupAndBudget) {
   using Keys = std::vector<NodeId>;
-  KeyedEdgeQueues q;
-  Keys out{99};
-  q.EnqueueAll(4, -1);  // before Configure: no edges, nothing queued
+  KeyedEdgeQueues<int> q;
+  q.Configure(0);
+  Enqueue(q, 4, -1);  // a node without edges has nothing to queue on
   EXPECT_FALSE(q.HasPending());
+  EXPECT_EQ(q.Find(4), 0);  // but the key has its slot
   q.Configure(3);
   EXPECT_FALSE(q.HasPending());
-  q.PopInto(1, 4, out);
-  EXPECT_TRUE(out.empty());  // cleared even when nothing is queued
+  EXPECT_EQ(q.Find(4), -1);  // Configure drops every key
+  EXPECT_TRUE(PopKeys(q, 1, 4).empty());
 
-  q.EnqueueAll(7, -1);  // -1 skips no edge
-  q.EnqueueAll(3, 1);   // edges 0 and 2
-  q.EnqueueAll(7, -1);  // still pending everywhere: no duplicate
-  q.EnqueueAll(9, 0);   // edges 1 and 2
-  q.EnqueueAll(3, 2);   // pending on 0, new on 1: appended behind 9
+  Enqueue(q, 7, -1);  // -1 skips no edge
+  Enqueue(q, 3, 1);   // edges 0 and 2
+  Enqueue(q, 7, -1);  // still pending everywhere: no duplicate
+  Enqueue(q, 9, 0);   // edges 1 and 2
+  Enqueue(q, 3, 2);   // pending on 0, new on 1: appended behind 9
   EXPECT_TRUE(q.HasPending());
 
-  q.PopInto(0, 1, out);  // budget caps the pop, the rest stays queued
-  EXPECT_EQ(out, (Keys{7}));
-  q.PopInto(0, 0, out);
-  EXPECT_TRUE(out.empty());
-  q.PopInto(0, 5, out);
-  EXPECT_EQ(out, (Keys{3}));
-  q.PopInto(1, 2, out);
-  EXPECT_EQ(out, (Keys{7, 9}));
+  EXPECT_EQ(PopKeys(q, 0, 1), (Keys{7}));  // budget caps the pop
+  EXPECT_TRUE(PopKeys(q, 0, 0).empty());
+  EXPECT_EQ(PopKeys(q, 0, 5), (Keys{3}));
+  EXPECT_EQ(PopKeys(q, 1, 2), (Keys{7, 9}));
   EXPECT_TRUE(q.HasPending());
 
   // 7 was popped from edges 0 and 1 but is still pending on edge 2: it is
   // re-queued at the back of 0 and 1 only. Edge 1 still holds 3.
-  q.EnqueueAll(7, -1);
-  q.PopInto(1, 5, out);
-  EXPECT_EQ(out, (Keys{3, 7}));
-  q.PopInto(2, 5, out);
-  EXPECT_EQ(out, (Keys{7, 3, 9}));
+  Enqueue(q, 7, -1);
+  EXPECT_EQ(PopKeys(q, 1, 5), (Keys{3, 7}));
+  EXPECT_EQ(PopKeys(q, 2, 5), (Keys{7, 3, 9}));
   EXPECT_TRUE(q.HasPending());  // edge 0 still holds 7
-  q.PopInto(0, 5, out);
-  EXPECT_EQ(out, (Keys{7}));
+  EXPECT_EQ(PopKeys(q, 0, 5), (Keys{7}));
   EXPECT_FALSE(q.HasPending());
 
   // Drained edges refill in FIFO order.
-  q.EnqueueAll(9, -1);
-  q.EnqueueAll(7, -1);
-  q.PopInto(2, 5, out);
-  EXPECT_EQ(out, (Keys{9, 7}));
+  Enqueue(q, 9, -1);
+  Enqueue(q, 7, -1);
+  EXPECT_EQ(PopKeys(q, 2, 5), (Keys{9, 7}));
 
-  // Configure drops every queued key and membership bit.
+  // Configure drops every queued key and link.
   q.Configure(2);
   EXPECT_FALSE(q.HasPending());
-  q.PopInto(0, 5, out);
-  EXPECT_TRUE(out.empty());
-  q.EnqueueAll(9, 1);
-  q.PopInto(0, 5, out);
-  EXPECT_EQ(out, (Keys{9}));
+  EXPECT_TRUE(PopKeys(q, 0, 5).empty());
+  Enqueue(q, 9, 1);
+  EXPECT_EQ(PopKeys(q, 0, 5), (Keys{9}));
   EXPECT_FALSE(q.HasPending());
 }
 
-// Degree 130: membership spans three 64-bit words, and locals 63/64 and
-// 127/128 sit on either side of the word boundaries.
+// Degree 130: wide link rows, pops on neighbouring locals (63/64,
+// 127/128), and keys past the reserved slots, so the link rows and the slot
+// table grow while keys sit queued.
 TEST(KeyedEdgeQueuesTest, WordBoundaryLocals) {
   using Keys = std::vector<NodeId>;
   constexpr int kDegree = 130;
-  KeyedEdgeQueues q;
-  Keys out;
+  KeyedEdgeQueues<int> q;
   q.Configure(kDegree);
   const std::vector<int> edges = {0, 63, 64, 127, 128, 129};
-  for (const int except : edges) q.EnqueueAll(1000 + except, except);
-  q.EnqueueAll(5, -1);
-  q.EnqueueAll(1000 + 64, 63);  // pending on every edge but 64 and 63
+  for (const int except : edges) Enqueue(q, 1000 + except, except);
+  Enqueue(q, 5, -1);
+  Enqueue(q, 1000 + 64, 63);  // pending on every edge but 64 and 63
   for (const int e : edges) {
     Keys expect;
     for (const int except : edges) {
@@ -428,20 +432,17 @@ TEST(KeyedEdgeQueuesTest, WordBoundaryLocals) {
     }
     expect.push_back(5);
     if (e == 64) expect.push_back(1000 + 64);  // 63 is skipped
-    q.PopInto(e, kDegree, out);
-    EXPECT_EQ(out, expect) << "edge " << e;
+    EXPECT_EQ(PopKeys(q, e, kDegree), expect) << "edge " << e;
   }
   // Untouched edges hold every key once, in first-enqueue order.
-  q.PopInto(1, kDegree, out);
-  EXPECT_EQ(out.size(), edges.size() + 1);
-  // Pops on one side of a boundary leave the neighbour's bit alone.
-  q.EnqueueAll(5, -1);
+  EXPECT_EQ(PopKeys(q, 1, kDegree).size(), edges.size() + 1);
+  // Pops on one edge leave the neighbouring edges' links alone.
+  Enqueue(q, 5, -1);
   for (const int e : edges) {
-    q.PopInto(e, 1, out);
-    EXPECT_EQ(out, (Keys{5})) << "edge " << e;
+    EXPECT_EQ(PopKeys(q, e, 1), (Keys{5})) << "edge " << e;
   }
   for (int e = 0; e < kDegree; ++e) {
-    q.PopInto(e, kDegree, out);
+    const Keys out = PopKeys(q, e, kDegree);
     if (e == 1) {
       EXPECT_EQ(out, (Keys{5}));
     } else if (std::find(edges.begin(), edges.end(), e) == edges.end()) {
@@ -449,25 +450,62 @@ TEST(KeyedEdgeQueuesTest, WordBoundaryLocals) {
     }
   }
   EXPECT_FALSE(q.HasPending());
+  // Grow well past the reserved slots while keys sit queued: the queued
+  // order survives the growth of the link rows and the table rehash.
+  const int extra = 5 * static_cast<int>(KeyedEdgeQueues<int>::kInitialSlots);
+  for (int k = 0; k < extra; ++k) Enqueue(q, 2000 + 7 * k, k % kDegree);
+  for (const int e : {0, 64, 129}) {
+    Keys expect;
+    for (int k = 0; k < extra; ++k) {
+      if (k % kDegree != e) expect.push_back(2000 + 7 * k);
+    }
+    EXPECT_EQ(PopKeys(q, e, extra), expect) << "edge " << e;
+  }
+  for (int k = 0; k < extra; ++k) {
+    EXPECT_EQ(q.KeyAt(q.Find(2000 + 7 * k)), 2000 + 7 * k);
+  }
 }
 
-// Randomized differential check against a direct per-edge deque + set model
-// of the contract, across several degrees and reconfigurations.
+// Randomized differential check against a direct per-edge deque + set +
+// value-map model of the contract, across several degrees and
+// reconfigurations: every popped key carries its freshest value, a key
+// re-improved while queued is sent once per edge, and values survive pops.
 TEST(KeyedEdgeQueuesTest, MatchesReferenceModel) {
+  KeyedEdgeQueues<std::int64_t> q;
+  // The case the model checks at random, spelled out: re-improved twice
+  // while queued, key 8 goes out once, with the last value, which it keeps.
+  q.Configure(1);
+  for (const std::int64_t v : {30, 20, 10}) {
+    const std::int32_t slot = q.SlotOf(8);
+    q.ValueAt(slot) = v;
+    q.EnqueueAll(slot, -1);
+  }
+  std::vector<std::pair<NodeId, std::int64_t>> sent;
+  q.PopEach(0, 5, [&](NodeId key, const std::int64_t& v) {
+    sent.emplace_back(key, v);
+  });
+  EXPECT_EQ(sent, (std::vector<std::pair<NodeId, std::int64_t>>{{8, 10}}));
+  EXPECT_EQ(q.ValueAt(q.Find(8)), 10);
+
   SplitMix64 rng(17);
-  KeyedEdgeQueues q;
-  std::vector<NodeId> out;
   for (const int degree : {1, 2, 5, 64, 65, 130}) {
     q.Configure(degree);
     std::vector<std::deque<NodeId>> model(static_cast<std::size_t>(degree));
     std::vector<std::set<NodeId>> member(static_cast<std::size_t>(degree));
+    std::map<NodeId, std::int64_t> value;
     std::size_t pending = 0;
     for (int step = 0; step < 4000; ++step) {
       if (rng.NextBelow(3) != 0) {
+        // Write a fresh value, then queue: a key already queued on an edge
+        // keeps its place there and goes out with this value.
         const auto key = static_cast<NodeId>(rng.NextBelow(300));
         const int except =
             static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(degree) + 1)) - 1;
-        q.EnqueueAll(key, except);
+        const auto v = static_cast<std::int64_t>(rng.Next() >> 1);
+        const std::int32_t slot = q.SlotOf(key);
+        q.ValueAt(slot) = v;
+        value[key] = v;
+        q.EnqueueAll(slot, except);
         for (int e = 0; e < degree; ++e) {
           const auto ue = static_cast<std::size_t>(e);
           if (e != except && member[ue].insert(key).second) {
@@ -478,19 +516,34 @@ TEST(KeyedEdgeQueuesTest, MatchesReferenceModel) {
       } else {
         const int e = static_cast<int>(rng.NextBelow(static_cast<std::uint64_t>(degree)));
         const int budget = static_cast<int>(rng.NextBelow(4));
-        q.PopInto(e, budget, out);
-        std::vector<NodeId> expect;
+        std::vector<std::pair<NodeId, std::int64_t>> out;
+        q.PopEach(e, budget, [&](NodeId key, const std::int64_t& v) {
+          out.emplace_back(key, v);
+        });
+        std::vector<std::pair<NodeId, std::int64_t>> expect;
         auto& mq = model[static_cast<std::size_t>(e)];
         for (int b = 0; b < budget && !mq.empty(); ++b) {
-          expect.push_back(mq.front());
+          expect.emplace_back(mq.front(), value.at(mq.front()));
           member[static_cast<std::size_t>(e)].erase(mq.front());
           mq.pop_front();
           --pending;
         }
         ASSERT_EQ(out, expect) << "degree " << degree << " step " << step;
+        // A popped key keeps its slot and value.
+        for (const auto& [key, v] : out) {
+          const std::int32_t slot = q.Find(key);
+          ASSERT_GE(slot, 0);
+          ASSERT_EQ(q.KeyAt(slot), key);
+          ASSERT_EQ(q.ValueAt(slot), v);
+        }
       }
       ASSERT_EQ(q.HasPending(), pending > 0) << "degree " << degree;
     }
+    ASSERT_EQ(q.NumSlots(), static_cast<std::int32_t>(value.size()));
+    for (const auto& [key, v] : value) {
+      ASSERT_EQ(q.ValueAt(q.Find(key)), v) << "key " << key;
+    }
+    ASSERT_EQ(q.Find(300), -1);  // never seen
   }
 }
 
@@ -505,7 +558,7 @@ TEST(CollectPipelineTest, FifoAcrossDrainAndRefill) {
     explicit BurstCollectProgram(NodeId id) : TreeProgramBase(id) {}
     std::vector<Item> queued;                    // push order at this node
     std::map<NodeId, std::vector<Item>> arrived;  // per child, arrival order
-    std::vector<Item> collected;                 // root only
+    std::vector<FieldList> collected;            // root only
 
    protected:
     void OnTreeReady(NodeApi& api) override {
